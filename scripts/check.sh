@@ -2,11 +2,15 @@
 # Sanitizer + observability gate, run before merging:
 #   1. strict preset: the whole tree (tests, benches, examples) under
 #      -Wall -Wextra -Wshadow -Wconversion -Wsign-conversion as errors
-#      (also exports compile_commands.json for tooling);
+#      (also exports compile_commands.json for tooling); then the whole
+#      tree again as a plain -DCMAKE_BUILD_TYPE=Release (-O3) build in
+#      out/release-o3, the optimization level users ship, where GCC 12
+#      raises warnings (-Werror=restrict) that -O2 never sees;
 #   2. asan preset: the full test suite under AddressSanitizer/UBSan;
 #   3. tsan preset: the concurrency-sensitive suites (parallel stage
-#      extraction, batched wavefront propagation, and the incremental-
-#      update pipeline built on them) under ThreadSanitizer;
+#      extraction, batched wavefront propagation, the incremental-
+#      update pipeline built on them, and the shared calibration memo)
+#      under ThreadSanitizer;
 #   4. ubsan preset: the timing suites under standalone UBSan with
 #      -fno-sanitize-recover (any report traps);
 #   5. smoke checks of the machine-readable artifacts: a `sldm time
@@ -59,6 +63,10 @@ cmake --preset strict
 cmake --build --preset strict -j "$jobs"
 echo "check.sh: strict-warnings build clean"
 
+cmake -S . -B out/release-o3 -DCMAKE_BUILD_TYPE=Release
+cmake --build out/release-o3 -j "$jobs"
+echo "check.sh: Release (-O3) build clean"
+
 cmake --preset asan
 cmake --build --preset asan -j "$jobs"
 ctest --preset asan -j "$jobs"
@@ -66,9 +74,10 @@ echo "check.sh: all tests passed under asan+ubsan"
 
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
-  --target parallel_timing_test eco_timing_test telemetry_test serve_test
+  --target parallel_timing_test eco_timing_test telemetry_test serve_test \
+           model_registry_test
 ctest --preset tsan -j "$jobs" \
-  -R 'parallel_timing_test|eco_timing_test|telemetry_test|serve_test'
+  -R 'parallel_timing_test|eco_timing_test|telemetry_test|serve_test|model_registry_test'
 echo "check.sh: threaded suites passed under tsan"
 
 cmake --preset ubsan

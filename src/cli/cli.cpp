@@ -13,12 +13,7 @@
 #include "analog/elaborate.h"
 #include "analog/export.h"
 #include "analog/transient.h"
-#include "calib/calibrate.h"
-#include "delay/bounds.h"
-#include "delay/lumped.h"
-#include "delay/rctree.h"
-#include "delay/slope.h"
-#include "delay/unit.h"
+#include "calib/models.h"
 #include "design/compiled_design.h"
 #include "design/snapshot.h"
 #include "fuzz/fuzz.h"
@@ -98,40 +93,34 @@ Options parse_options(const std::vector<std::string>& args,
   return out;
 }
 
-/// Loads a technology: a preset name or a .tech file path.
-Tech load_tech(const Options& opts) {
-  const std::string spec = opts.get("tech").value_or("nmos");
-  if (spec == "nmos") return nmos4();
-  if (spec == "cmos") return cmos3();
-  return read_tech_file(spec);
+/// `--tech`: a preset name or a .tech file path (nmos by default).
+Tech tech_option(const Options& opts) {
+  return load_tech(opts.get("tech").value_or("nmos"));
 }
 
-Style style_for(const Tech& tech) {
-  return tech.has(TransistorType::kPEnhancement) ? Style::kCmos
-                                                 : Style::kNmos;
-}
+/// The technology and slope tables a .sim analysis or compile runs with.
+/// Only the slope model needs tables: --tables when given, otherwise the
+/// registry's calibration, which also swaps in the calibrated technology.
+struct ModelInputs {
+  Tech tech;
+  std::shared_ptr<const SlopeTables> tables;  ///< null unless slope
+};
 
-/// Builds the requested delay model; calibrates if the slope model is
-/// requested without a tables file.  `tech` may be updated by
-/// calibration.
-std::unique_ptr<DelayModel> make_model(const Options& opts, Tech& tech,
-                                       std::ostream& err) {
-  const std::string name = opts.get("model").value_or("slope");
-  if (name == "lumped") return std::make_unique<LumpedRcModel>();
-  if (name == "rc-tree") return std::make_unique<RcTreeModel>();
-  if (name == "rph-upper") {
-    return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
+ModelInputs model_inputs(const Options& opts, std::ostream& err) {
+  ModelInputs in{tech_option(opts), nullptr};
+  if (opts.get("model").value_or("slope") != "slope") return in;
+  if (const auto path = opts.get("tables")) {
+    in.tables =
+        std::make_shared<const SlopeTables>(SlopeTables::read_file(*path));
+  } else {
+    err << "(no --tables given; calibrating " << in.tech.name()
+        << " in-process)\n";
+    const std::shared_ptr<const CalibrationResult> cal =
+        calibrated(in.tech);
+    in.tech = cal->tech;
+    in.tables = std::shared_ptr<const SlopeTables>(cal, &cal->tables);
   }
-  if (name == "unit") return std::make_unique<UnitDelayModel>(1e-9);
-  if (name != "slope") throw Error("unknown model '" + name + "'");
-  if (const auto tables = opts.get("tables")) {
-    return std::make_unique<SlopeModel>(SlopeTables::read_file(*tables));
-  }
-  err << "(no --tables given; calibrating " << tech.name()
-      << " in-process)\n";
-  CalibrationResult cal = calibrate(tech, style_for(tech));
-  tech = cal.tech;
-  return std::make_unique<SlopeModel>(std::move(cal.tables));
+  return in;
 }
 
 /// `--prom <file|->`: renders the whole telemetry hub in Prometheus
@@ -291,13 +280,15 @@ Constraints seed_events(const Options& opts, const Netlist& nl,
 }
 
 /// With --load, an explicit --tech must agree with the technology the
-/// snapshot was compiled against; anything else would silently analyze
-/// under parameters the baked caches don't reflect.
+/// snapshot was compiled against -- as given, or as calibrated for a
+/// slope snapshot; anything else would silently analyze under
+/// parameters the baked caches don't reflect.
 void check_tech_override(const Options& opts, const CompiledDesign& design,
                          const std::string& load_path) {
   if (!opts.get("tech")) return;
-  const Tech requested = load_tech(opts);
-  if (tech_fingerprint(requested) != design.fingerprint()) {
+  const Tech requested = tech_option(opts);
+  if (tech_fingerprint(requested) != design.fingerprint() &&
+      tech_fingerprint(calibrated(requested)->tech) != design.fingerprint()) {
     throw Error("--tech '" + *opts.get("tech") +
                 "' does not match the technology compiled into " +
                 load_path + "; drop the option or recompile the snapshot");
@@ -325,30 +316,30 @@ AnalysisSetup open_analysis(const Options& opts, const char* usage_msg,
   if (opts.positional.size() != extra_positionals + (load ? 0u : 1u)) {
     throw UsageError(usage_msg);
   }
+  const std::string model_name = opts.get("model").value_or("slope");
   if (load) {
     LoadedDesign loaded = load_design_file(*load);
     check_tech_override(opts, *loaded.design, *load);
-    const std::string model_name = opts.get("model").value_or("slope");
-    if (model_name == "slope" && !opts.get("tables")) {
-      if (!loaded.slope_tables) {
+    std::optional<SlopeTables> tables;
+    if (model_name == "slope") {
+      if (const auto path = opts.get("tables")) {
+        tables = SlopeTables::read_file(*path);
+      } else if (loaded.slope_tables) {
+        tables = std::move(loaded.slope_tables);
+      } else {
         throw Error("snapshot " + *load +
                     " carries no calibration tables; pass --tables or "
                     "recompile it with `sldm compile`");
       }
-      s.model =
-          std::make_unique<SlopeModel>(std::move(*loaded.slope_tables));
-    } else {
-      // Every remaining model choice leaves the tech untouched, so the
-      // scratch copy never diverges from the design's baked one.
-      Tech scratch = loaded.design->tech();
-      s.model = make_model(opts, scratch, err);
     }
+    s.model = make_model(model_name, tables ? &*tables : nullptr);
     s.analyzer = std::make_unique<TimingAnalyzer>(
         std::move(loaded.design), *s.model, analyzer_options(opts));
   } else {
     s.nl = std::make_unique<Netlist>(read_sim_file(opts.positional[0]));
-    s.tech = std::make_unique<Tech>(load_tech(opts));
-    s.model = make_model(opts, *s.tech, err);
+    ModelInputs in = model_inputs(opts, err);
+    s.model = make_model(model_name, in.tables.get());
+    s.tech = std::make_unique<Tech>(std::move(in.tech));
     s.analyzer = std::make_unique<TimingAnalyzer>(
         *s.nl, *s.tech, *s.model, analyzer_options(opts));
   }
@@ -552,7 +543,7 @@ int cmd_chargeshare(const Options& opts, std::ostream& out, std::ostream&) {
     throw UsageError("usage: chargeshare <file.sim> [--tech ...]");
   }
   const Netlist nl = read_sim_file(opts.positional[0]);
-  const Tech tech = load_tech(opts);
+  const Tech tech = tech_option(opts);
   const auto results = analyze_all_charge_sharing(nl, tech);
   if (results.empty()) {
     out << "no precharged nodes\n";
@@ -580,7 +571,7 @@ int cmd_sim(const Options& opts, std::ostream& out, std::ostream&) {
     parsed = read_sim_file(opts.positional[0]);
   }
   const Netlist& nl = load ? loaded->design->netlist() : *parsed;
-  const Tech tech = load ? loaded->design->tech() : load_tech(opts);
+  const Tech tech = load ? loaded->design->tech() : tech_option(opts);
 
   // Stimuli: constraints file if given, otherwise every input rises at
   // 2 ns with a 1 ns edge.
@@ -727,32 +718,16 @@ int cmd_compile(const Options& opts, std::ostream& out, std::ostream& err) {
   const auto out_path = opts.get("out");
   if (!out_path) throw UsageError("compile needs -o <design.sldc>");
   Netlist nl = read_sim_file(opts.positional[0]);
-  Tech tech = load_tech(opts);
-
-  // Mirror make_model's tech semantics exactly, or loaded analyses
-  // would diverge from direct ones: only the slope model calibrates,
-  // and calibration rewrites the tech's effective resistances.  The
-  // fitted tables are baked into the snapshot so a load never re-runs
-  // the calibration (which would both cost the compile's main saving
-  // and drift the tech away from the fingerprint recorded here).
-  std::optional<SlopeTables> tables;
-  if (opts.get("model").value_or("slope") == "slope") {
-    if (const auto path = opts.get("tables")) {
-      tables = SlopeTables::read_file(*path);
-    } else {
-      err << "(no --tables given; calibrating " << tech.name()
-          << " in-process)\n";
-      CalibrationResult cal = calibrate(tech, style_for(tech));
-      tech = cal.tech;
-      tables = std::move(cal.tables);
-    }
-  }
+  // The same technology and tables a direct run would use, so loaded
+  // analyses equal direct ones; the tables are baked into the snapshot
+  // so a load never re-runs the calibration.
+  ModelInputs in = model_inputs(opts, err);
 
   const AnalyzerOptions aopts = analyzer_options(opts);
   const std::shared_ptr<const CompiledDesign> design =
-      CompiledDesign::compile(std::move(nl), std::move(tech),
+      CompiledDesign::compile(std::move(nl), std::move(in.tech),
                               CompileOptions{aopts.extract, aopts.threads});
-  save_design_file(*design, *out_path, tables ? &*tables : nullptr);
+  save_design_file(*design, *out_path, in.tables.get());
   out << format(
       "compiled %zu node(s), %zu device(s) -> %zu ccc(s), %zu stage(s)\n",
       design->netlist().node_count(), design->netlist().device_count(),

@@ -17,8 +17,10 @@
 //                                            section 11); also accepted
 //                                            by explain/eco/sim
 //        --tech nmos|cmos|<file.tech>        process (default nmos;
-//                                            with --load, must match the
-//                                            compiled fingerprint)
+//                                            with --load, accepted when
+//                                            it or its calibration
+//                                            matches the compiled
+//                                            fingerprint)
 //        --tables <file.slopes>              slope tables (default:
 //                                            calibrate in-process)
 //        --model slope|rc-tree|lumped|rph-upper|unit

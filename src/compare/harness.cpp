@@ -1,14 +1,10 @@
 #include "compare/harness.h"
 
 #include <chrono>
-#include <map>
-#include <mutex>
 
 #include "analog/elaborate.h"
 #include "analog/transient.h"
-#include "delay/lumped.h"
-#include "delay/rctree.h"
-#include "delay/slope.h"
+#include "calib/models.h"
 #include "timing/analyzer.h"
 #include "util/contracts.h"
 #include "util/error.h"
@@ -41,23 +37,17 @@ std::vector<Stimulus> build_stimuli(const GeneratedCircuit& g,
 
 }  // namespace
 
-CompareContext::CompareContext(Style style, CalibrationResult calibration)
-    : style_(style), calibration_(std::move(calibration)) {
-  lumped_ = std::make_unique<LumpedRcModel>();
-  rctree_ = std::make_unique<RcTreeModel>();
-  slope_ = std::make_unique<SlopeModel>(calibration_.tables);
-}
+CompareContext::CompareContext(
+    Style style, std::shared_ptr<const CalibrationResult> calibration)
+    : style_(style),
+      calibration_(std::move(calibration)),
+      lumped_(make_model("lumped", nullptr)),
+      rctree_(make_model("rc-tree", nullptr)),
+      slope_(make_model("slope", &calibration_->tables)) {}
 
-const CompareContext& CompareContext::get(Style style) {
-  static std::mutex mutex;
-  static std::map<Style, std::unique_ptr<CompareContext>> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& slot = cache[style];
-  if (!slot) {
-    const Tech base = style == Style::kNmos ? nmos4() : cmos3();
-    slot = std::make_unique<CompareContext>(style, calibrate(base, style));
-  }
-  return *slot;
+CompareContext CompareContext::get(Style style) {
+  return CompareContext(style,
+                        calibrated(style == Style::kNmos ? nmos4() : cmos3()));
 }
 
 std::vector<const DelayModel*> CompareContext::models() const {

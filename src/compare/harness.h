@@ -26,24 +26,24 @@ namespace sldm {
 /// A calibrated technology + the three models, shared across experiments.
 class CompareContext {
  public:
-  /// Calibrates the standard process for `style` (nmos4 / cmos3).
-  /// Calibration runs a handful of analog simulations, so benches cache
-  /// one context per style.
-  static const CompareContext& get(Style style);
+  /// The standard process for `style` (nmos4 / cmos3) with the model
+  /// registry's calibration, which runs once per process (calib/models.h).
+  static CompareContext get(Style style);
 
-  /// Builds a context from an explicit calibration (tests).
-  explicit CompareContext(Style style, CalibrationResult calibration);
+  /// Builds a context from an explicit calibration.
+  CompareContext(Style style,
+                 std::shared_ptr<const CalibrationResult> calibration);
 
   Style style() const { return style_; }
-  const Tech& tech() const { return calibration_.tech; }
-  const CalibrationResult& calibration() const { return calibration_; }
+  const Tech& tech() const { return calibration_->tech; }
+  const CalibrationResult& calibration() const { return *calibration_; }
 
   /// The paper's three models, in presentation order.
   std::vector<const DelayModel*> models() const;
 
  private:
   Style style_;
-  CalibrationResult calibration_;
+  std::shared_ptr<const CalibrationResult> calibration_;
   std::unique_ptr<DelayModel> lumped_;
   std::unique_ptr<DelayModel> rctree_;
   std::unique_ptr<DelayModel> slope_;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gen/builder.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -20,7 +21,7 @@ GeneratedCircuit random_soup(Style style, int gates, int bridges,
   // the network is acyclic and every gate output is driven.
   std::vector<NodeId> signals{a};
   for (int i = 0; i < gates; ++i) {
-    const std::string out = "g" + std::to_string(i);
+    const std::string out = format("g%d", i);
     const NodeId x = signals[rng.below(signals.size())];
     switch (rng.below(3)) {
       case 0:

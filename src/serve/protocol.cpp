@@ -19,7 +19,7 @@ using namespace serve_errors;
 /// caller must be able to echo the id into one line).
 std::string id_token_of(const JsonValue& v) {
   if (v.kind() == JsonValue::Kind::kString) {
-    return "\"" + json_escape(v.as_string()) + "\"";
+    return format("\"%s\"", json_escape(v.as_string()).c_str());
   }
   if (v.kind() == JsonValue::Kind::kNumber) {
     return json_number(v.as_number());

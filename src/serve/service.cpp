@@ -4,18 +4,12 @@
 #include <sstream>
 #include <utility>
 
-#include "calib/calibrate.h"
-#include "delay/bounds.h"
-#include "delay/lumped.h"
-#include "delay/rctree.h"
-#include "delay/slope.h"
-#include "delay/unit.h"
+#include "calib/models.h"
 #include "design/session.h"
 #include "design/snapshot.h"
 #include "netlist/eco_io.h"
 #include "netlist/sim_io.h"
 #include "serve/protocol.h"
-#include "tech/tech_io.h"
 #include "timing/analyzer.h"
 #include "timing/explain.h"
 #include "timing/report.h"
@@ -42,48 +36,6 @@ using namespace serve_errors;
 
 std::string fingerprint_hex(std::uint64_t fp) {
   return format("%016llx", static_cast<unsigned long long>(fp));
-}
-
-/// Mirror of the CLI's tech loading: preset name or .tech file path.
-Tech load_tech_spec(const std::string& spec) {
-  if (spec == "nmos") return nmos4();
-  if (spec == "cmos") return cmos3();
-  return read_tech_file(spec);
-}
-
-Style style_for(const Tech& tech) {
-  return tech.has(TransistorType::kPEnhancement) ? Style::kCmos
-                                                 : Style::kNmos;
-}
-
-bool known_model(const std::string& name) {
-  return name == "slope" || name == "lumped" || name == "rc-tree" ||
-         name == "rph-upper" || name == "unit";
-}
-
-/// Builds the per-request delay model.  Construction mirrors the CLI's
-/// make_model exactly -- same classes, same parameters -- which is half
-/// of the cold-run parity contract (the other half is that the design
-/// was compiled with the same tech transformation at load time).
-std::unique_ptr<DelayModel> make_request_model(
-    const std::string& name,
-    const std::shared_ptr<const SlopeTables>& tables) {
-  if (name == "lumped") return std::make_unique<LumpedRcModel>();
-  if (name == "rc-tree") return std::make_unique<RcTreeModel>();
-  if (name == "rph-upper") {
-    return std::make_unique<RphBoundsModel>(RphBoundsModel::Mode::kUpper);
-  }
-  if (name == "unit") return std::make_unique<UnitDelayModel>(1e-9);
-  if (name != "slope") {
-    throw RequestError(kBadRequest, "unknown model '" + name + "'");
-  }
-  if (!tables) {
-    throw RequestError(kFailed,
-                       "design carries no slope calibration tables; load "
-                       "it with \"model\":\"slope\" (or from a "
-                       "slope-compiled .sldc), or request another model");
-  }
-  return std::make_unique<SlopeModel>(*tables);
 }
 
 std::ostream& begin_response(std::ostream& os, const ServeRequest& req,
@@ -316,9 +268,7 @@ void TimingService::publish_service_metrics() {
 
 struct TimingService::ServeRequestDispatch {
   static std::string load(TimingService& svc, const ServeRequest& req) {
-    if (!known_model(req.model)) {
-      throw RequestError(kBadRequest, "unknown model '" + req.model + "'");
-    }
+    check_model_name(req.model);
     std::shared_ptr<CompiledDesign> design;
     std::shared_ptr<const SlopeTables> tables;
     if (ends_with(req.path, ".sldc")) {
@@ -330,16 +280,15 @@ struct TimingService::ServeRequestDispatch {
       }
     } else {
       Netlist nl = read_sim_file(req.path);
-      Tech tech = load_tech_spec(req.tech.empty() ? svc.options_.default_tech
-                                                  : req.tech);
+      Tech tech = load_tech(req.tech.empty() ? svc.options_.default_tech
+                                             : req.tech);
       if (req.model == "slope") {
-        // Same deterministic in-process calibration the cold CLI runs
-        // (and that `sldm compile` bakes into .sldc): calibration
-        // rewrites the tech, so skipping it here would change the
-        // fingerprint and the arrivals.
-        CalibrationResult cal = calibrate(tech, style_for(tech));
-        tech = cal.tech;
-        tables = std::make_shared<SlopeTables>(std::move(cal.tables));
+        // The registry's calibration, shared with the cold CLI and
+        // `sldm compile`: it rewrites the tech, so skipping it here
+        // would change the fingerprint and the arrivals.
+        const std::shared_ptr<const CalibrationResult> cal = calibrated(tech);
+        tech = cal->tech;
+        tables = std::shared_ptr<const SlopeTables>(cal, &cal->tables);
       }
       design = CompiledDesign::compile_owned(std::move(nl), std::move(tech),
                                              CompileOptions{{}, req.threads});
@@ -404,7 +353,7 @@ struct TimingService::ServeRequestDispatch {
                                const char* request_label) {
     Analysis a;
     a.lease = svc.lease(req.design);
-    a.model = make_request_model(req.model, a.lease.tables());
+    a.model = make_model(req.model, a.lease.tables().get());
     a.session = std::make_unique<Session>(a.lease.design(), *a.model,
                                           SessionOptions{64, req.threads});
     a.session->set_telemetry_request(request_label);
@@ -497,7 +446,7 @@ struct TimingService::ServeRequestDispatch {
   static std::string eco(TimingService& svc, const ServeRequest& req) {
     auto entry = svc.take_for_eco(req.design);
     const std::weak_ptr<CompiledDesign> master = entry->design;
-    const auto model = make_request_model(req.model, entry->tables);
+    const auto model = make_model(req.model, entry->tables.get());
     // Declared before the analyzer so the analyzer (which borrows it)
     // dies first on every exit path.
     const CancelToken deadline = deadline_for(req, svc.options_);
@@ -632,9 +581,16 @@ std::string TimingService::handle_line(const std::string& line) {
   } catch (const CancelledError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     response = error_response(req.id_token, kDeadline, e.what());
-  } catch (const Error& e) {
+  } catch (const UnknownModelError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    response = error_response(req.id_token, kFailed, e.what());
+    response = error_response(req.id_token, kBadRequest, e.what());
+  } catch (const MissingTablesError&) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    response = error_response(
+        req.id_token, kFailed,
+        "design carries no slope calibration tables; load it with "
+        "\"model\":\"slope\" (or from a slope-compiled .sldc), or request "
+        "another model");
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     response = error_response(req.id_token, kFailed, e.what());

@@ -4,10 +4,11 @@
 // 16-hex design fingerprint and processes protocol requests
 // (serve/protocol.h) against it.  The design around the PR 6 split:
 //
-//   * `load` compiles a .sim (calibrating exactly like the cold CLI
-//     when the slope model is requested, so later analyses are
-//     bit-identical to single-shot runs) or restores a .sldc snapshot,
-//     and caches the design under its fingerprint;
+//   * `load` compiles a .sim or restores a .sldc snapshot and caches
+//     the design under its fingerprint.  A slope .sim load takes the
+//     model registry's calibration (calib/models.h), the one the cold
+//     CLI uses, computed once per technology per process, so later
+//     analyses are bit-identical to single-shot runs;
 //   * `time` / `explain` take a *lease* on the cached entry and run a
 //     fresh Session over the shared immutable design -- any number of
 //     mixed-model requests proceed concurrently with no cloning, each

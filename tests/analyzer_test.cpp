@@ -11,6 +11,7 @@
 #include "timing/analyzer.h"
 #include "timing/report.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -28,7 +29,7 @@ TEST(Analyzer, ChainArrivalsAreMonotone) {
 
   Seconds prev = 0.0;
   for (int i = 1; i <= 4; ++i) {
-    const NodeId n = *g.netlist.find_node("s" + std::to_string(i));
+    const NodeId n = *g.netlist.find_node(format("s%d", i));
     const Transition dir =
         (i % 2 == 1) ? Transition::kFall : Transition::kRise;
     const auto info = an.arrival(n, dir);

@@ -8,6 +8,7 @@
 #include "tech/tech.h"
 #include "timing/charge_sharing.h"
 #include "util/contracts.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -98,7 +99,7 @@ TEST(ChargeSharing, DepthLimitStopsTheWalk) {
   nl.add_cap(dyn, 100 * fF);
   NodeId prev = dyn;
   for (int i = 0; i < 6; ++i) {
-    const NodeId next = nl.add_node("n" + std::to_string(i));
+    const NodeId next = nl.add_node(format("n%d", i));
     nl.add_cap(next, 10 * fF);
     nl.add_transistor(TransistorType::kNEnhancement, sel, prev, next, 8 * um,
                       4 * um);

@@ -381,6 +381,26 @@ TEST(Cli, LoadWithMismatchedTechIsError) {
   EXPECT_NE(r.err.find("does not match"), std::string::npos);
 }
 
+TEST(Cli, LoadAcceptsTheTechItWasCalibratedFrom) {
+  // A slope snapshot carries the *calibrated* technology; naming the
+  // preset it was calibrated from must still be accepted.
+  TempFile f("cmos_inv.sim",
+             "e in gnd out 2 4\n"
+             "p in vdd out 2 8\n"
+             "@in in\n"
+             "@out out\n");
+  const std::string path = "/tmp/sldm_cli_test_cmos.sldc";
+  const CliRun compiled = run({"compile", f.path(), "-o", path, "--tech",
+                               "cmos"});
+  const CliRun plain = run({"time", "--load", path});
+  const CliRun with_tech = run({"time", "--load", path, "--tech", "cmos"});
+  std::remove(path.c_str());
+  ASSERT_EQ(compiled.code, 0) << compiled.err;
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  ASSERT_EQ(with_tech.code, 0) << with_tech.err;
+  EXPECT_EQ(with_tech.out, plain.out);
+}
+
 TEST(Cli, EcoOverLoadedSnapshotVerifies) {
   TempFile f("inv.sim", kInverterSim);
   TempFile eco("load.eco", "cap out 0.05\n");

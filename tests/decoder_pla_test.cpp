@@ -8,6 +8,7 @@
 #include "tech/tech.h"
 #include "timing/analyzer.h"
 #include "util/contracts.h"
+#include "util/strings.h"
 
 namespace sldm {
 namespace {
@@ -86,7 +87,7 @@ TEST(Pla, OutputZeroAlwaysReachableFromInputZero) {
 TEST(Pla, EveryProductHasAtLeastOneLiteral) {
   const GeneratedCircuit g = pla(Style::kNmos, 3, 10, 2, 5);
   for (int p = 0; p < 10; ++p) {
-    const auto node = g.netlist.find_node("p" + std::to_string(p));
+    const auto node = g.netlist.find_node(format("p%d", p));
     ASSERT_TRUE(node.has_value());
     // An nMOS NOR row with k literals has k pull-downs + 1 load
     // channel-connected at the row node.

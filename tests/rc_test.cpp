@@ -1,11 +1,9 @@
-// Tests for RC tree analysis (Elmore, RPH bounds) and resistive
-// networks (effective resistance), with textbook oracles.
+// Tests for RC tree analysis (Elmore, RPH bounds), with textbook
+// oracles.
 #include <gtest/gtest.h>
 
 #include "rc/rc_tree.h"
-#include "rc/resistive_network.h"
 #include "util/contracts.h"
-#include "util/error.h"
 
 namespace sldm {
 namespace {
@@ -106,108 +104,6 @@ TEST(RcTree, InputValidation) {
   EXPECT_THROW(t.add_node(0, 1e3, -1.0), ContractViolation);  // negative C
   EXPECT_THROW(t.elmore(3), ContractViolation);
 }
-
-// --- ResistiveNetwork ------------------------------------------------------
-
-TEST(ResistiveNetwork, SeriesAndParallelHelpers) {
-  EXPECT_DOUBLE_EQ(series(1e3, 2e3), 3e3);
-  EXPECT_DOUBLE_EQ(parallel(2e3, 2e3), 1e3);
-}
-
-TEST(ResistiveNetwork, SeriesChain) {
-  ResistiveNetwork n;
-  const auto a = n.add_terminal();
-  const auto b = n.add_terminal();
-  const auto c = n.add_terminal();
-  n.add_resistor(a, b, 1e3);
-  n.add_resistor(b, c, 2e3);
-  EXPECT_NEAR(n.effective_resistance(a, c), 3e3, 1e-6);
-}
-
-TEST(ResistiveNetwork, ParallelPair) {
-  ResistiveNetwork n;
-  const auto a = n.add_terminal();
-  const auto b = n.add_terminal();
-  n.add_resistor(a, b, 2e3);
-  n.add_resistor(a, b, 2e3);
-  EXPECT_NEAR(n.effective_resistance(a, b), 1e3, 1e-6);
-}
-
-TEST(ResistiveNetwork, WheatstoneBridge) {
-  // Balanced bridge: the cross resistor carries no current, so
-  // R_eff = (1k + 1k) || (1k + 1k) = 1k regardless of the bridge arm.
-  ResistiveNetwork n;
-  const auto a = n.add_terminal();
-  const auto t1 = n.add_terminal();
-  const auto t2 = n.add_terminal();
-  const auto b = n.add_terminal();
-  n.add_resistor(a, t1, 1e3);
-  n.add_resistor(a, t2, 1e3);
-  n.add_resistor(t1, b, 1e3);
-  n.add_resistor(t2, b, 1e3);
-  n.add_resistor(t1, t2, 7e3);  // arbitrary bridge arm
-  EXPECT_NEAR(n.effective_resistance(a, b), 1e3, 1e-6);
-}
-
-TEST(ResistiveNetwork, DisconnectedThrows) {
-  ResistiveNetwork n;
-  const auto a = n.add_terminal();
-  const auto b = n.add_terminal();
-  const auto c = n.add_terminal();
-  n.add_resistor(a, b, 1e3);
-  EXPECT_THROW(n.effective_resistance(a, c), NumericalError);
-}
-
-TEST(ResistiveNetwork, Validation) {
-  ResistiveNetwork n;
-  const auto a = n.add_terminal();
-  EXPECT_THROW(n.add_resistor(a, a, 1e3), ContractViolation);
-  EXPECT_THROW(n.add_resistor(a, 9, 1e3), ContractViolation);
-  EXPECT_THROW(n.effective_resistance(a, a), ContractViolation);
-}
-
-// Property: effective resistance of a random ladder equals the explicit
-// series/parallel fold.
-class LadderProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(LadderProperty, MatchesSeriesParallelFold) {
-  const int rungs = GetParam();
-  ResistiveNetwork n;
-  std::vector<std::size_t> left;
-  std::vector<std::size_t> right;
-  const auto a = n.add_terminal();
-  const auto b = n.add_terminal();
-  // Build a ladder a - r1 - x1 - r2 - x2 ... - b with rung resistors
-  // from each xi to b; fold the same structure with series()/parallel().
-  double folded = 0.0;
-  std::size_t cur = a;
-  double series_acc = 0.0;
-  for (int i = 0; i < rungs; ++i) {
-    const double r_series = 1e3 * (i + 1);
-    const double r_rung = 2e3 * (i + 1);
-    const auto x = n.add_terminal();
-    n.add_resistor(cur, x, r_series);
-    n.add_resistor(x, b, r_rung);
-    cur = x;
-    (void)series_acc;
-    (void)folded;
-  }
-  // Fold from the far end: R = r_series_k + (r_rung_k || R_next).
-  double r_eff = 0.0;
-  bool first = true;
-  for (int i = rungs - 1; i >= 0; --i) {
-    const double r_series = 1e3 * (i + 1);
-    const double r_rung = 2e3 * (i + 1);
-    r_eff = first ? series(r_series, r_rung)
-                  : series(r_series, parallel(r_rung, r_eff));
-    first = false;
-  }
-  EXPECT_NEAR(n.effective_resistance(a, b) / r_eff, 1.0, 1e-6);
-  (void)left;
-  (void)right;
-}
-
-INSTANTIATE_TEST_SUITE_P(Rungs, LadderProperty, ::testing::Range(1, 8));
 
 }  // namespace
 }  // namespace sldm

@@ -24,7 +24,9 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "tech/tech_io.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/telemetry.h"
 
 namespace sldm {
@@ -434,6 +436,54 @@ TEST(ServeService, FailedEcoScriptSalvagesThePristineDesign) {
   const std::string again = service.handle_line(
       "{\"kind\":\"time\",\"design\":\"" + fp + "\",\"model\":\"lumped\"}");
   EXPECT_NE(again.find("\"ok\":true"), std::string::npos) << again;
+}
+
+TEST(ServeService, SimLoadsCalibrateOncePerTechnology) {
+  HubGuard guard;
+  TimingService service;
+  // nmos4 under a name no other test uses, so this process has not
+  // calibrated it yet.
+  Tech tech("nmos4-serve-once", nmos4().vdd());
+  for (const TransistorType type :
+       {TransistorType::kNEnhancement, TransistorType::kNDepletion,
+        TransistorType::kPEnhancement}) {
+    tech.params(type) = nmos4().params(type);
+  }
+  const std::string tech_path =
+      ::testing::TempDir() + "sldm_serve_test_once.tech";
+  write_tech_file(tech, tech_path);
+  TempFile inv("once_inv.sim", kInverterSim);
+  TempFile chain("once_chain.sim", kChainSim);
+
+  const auto runs = [] {
+    return snapshot_process_metrics().counter("calibrate.runs").value();
+  };
+  const std::uint64_t before = runs();
+  std::vector<std::string> fps;
+  for (const TempFile* sim : {&inv, &chain}) {
+    const std::string response = service.handle_line(
+        "{\"kind\":\"load\",\"path\":\"" + json_escape(sim->path()) +
+        "\",\"tech\":\"" + json_escape(tech_path) + "\"}");
+    ASSERT_NE(response.find("\"tables\":true"), std::string::npos)
+        << response;
+    const std::string key = "\"design\":\"";
+    fps.push_back(response.substr(response.find(key) + key.size(), 16));
+  }
+  EXPECT_EQ(runs() - before, 1u);
+  EXPECT_NE(fps[0], fps[1]);
+
+  // Both designs still answer exactly like the cold CLI.
+  const std::vector<const TempFile*> sims = {&inv, &chain};
+  for (std::size_t i = 0; i < sims.size(); ++i) {
+    const std::string cold =
+        cold_cli({"time", sims[i]->path(), "--tech", tech_path});
+    const std::string served = service.handle_line(
+        "{\"kind\":\"time\",\"design\":\"" + fps[i] + "\"}");
+    EXPECT_NE(served.find("\"report\":\"" + json_escape(cold) + "\""),
+              std::string::npos)
+        << served;
+  }
+  std::remove(tech_path.c_str());
 }
 
 TEST(ServeService, LruEvictionSkipsLeasedDesigns) {

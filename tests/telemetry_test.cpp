@@ -265,10 +265,7 @@ TEST(Prometheus, NonFiniteGaugesUseExpositionSpellings) {
 }
 
 TEST(Prometheus, LabelValuesAreEscaped) {
-  TelemetryLabels labels;
-  labels.session = "s\"1\\x\n";
-  labels.model = "m";
-  labels.threads = 2;
+  const TelemetryLabels labels("s\"1\\x\n", "m", 2);
   EXPECT_EQ(prometheus_labels(labels),
             "session=\"s\\\"1\\\\x\\n\",model=\"m\",threads=\"2\"");
 }

@@ -8,6 +8,7 @@
 
 #include "analog/transient.h"
 #include "rc/rc_tree.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -41,7 +42,7 @@ RandomTree build(std::uint64_t seed, int nodes) {
     const double r = r_dist(rng);
     const double c = c_dist(rng);
     const std::size_t t = out.tree.add_node(parent, r, c);
-    const AnalogNode a = out.circuit.add_node("n" + std::to_string(t));
+    const AnalogNode a = out.circuit.add_node(format("n%zu", t));
     out.circuit.add_resistor(out.analog_of[parent], a, r);
     out.circuit.add_capacitor(a, kGround, c);
     out.analog_of.push_back(a);
