@@ -11,8 +11,9 @@
 #      extraction, batched wavefront propagation, the incremental-
 #      update pipeline built on them, and the shared calibration memo)
 #      under ThreadSanitizer;
-#   4. ubsan preset: the timing suites under standalone UBSan with
-#      -fno-sanitize-recover (any report traps);
+#   4. ubsan preset: the timing suites and the delay-model suites
+#      (batch_kernel_test, delay_test, bounds_model_test) under
+#      standalone UBSan with -fno-sanitize-recover (any report traps);
 #   5. smoke checks of the machine-readable artifacts: a `sldm time
 #      --trace` capture must parse as JSON, a bench run with `--json`
 #      must append a parseable record, and `sldm time --stats --json`
@@ -83,10 +84,11 @@ echo "check.sh: threaded suites passed under tsan"
 cmake --preset ubsan
 cmake --build --preset ubsan -j "$jobs" \
   --target analyzer_test parallel_timing_test eco_timing_test \
-           observability_test sldm_tool
+           observability_test batch_kernel_test delay_test \
+           bounds_model_test sldm_tool
 ctest --preset ubsan -j "$jobs" \
-  -R 'analyzer_test|parallel_timing_test|eco_timing_test|observability_test'
-echo "check.sh: timing suites passed under ubsan"
+  -R 'analyzer_test|parallel_timing_test|eco_timing_test|observability_test|batch_kernel_test|delay_test|bounds_model_test'
+echo "check.sh: timing and delay-model suites passed under ubsan"
 
 # Observability smoke: the trace file must be valid JSON with spans,
 # and a bench --json record must parse.

@@ -107,8 +107,10 @@ struct ModelInputs {
 };
 
 ModelInputs model_inputs(const Options& opts, std::ostream& err) {
+  const std::string model = opts.get("model").value_or("slope");
+  check_model_name(model);
   ModelInputs in{tech_option(opts), nullptr};
-  if (opts.get("model").value_or("slope") != "slope") return in;
+  if (model != "slope") return in;
   if (const auto path = opts.get("tables")) {
     in.tables =
         std::make_shared<const SlopeTables>(SlopeTables::read_file(*path));

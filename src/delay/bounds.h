@@ -12,7 +12,7 @@
 
 namespace sldm {
 
-class RphBoundsModel final : public DelayModel {
+class RphBoundsModel final : public KernelModel<RphBoundsModel> {
  public:
   enum class Mode { kUpper, kLower };
 
@@ -24,15 +24,23 @@ class RphBoundsModel final : public DelayModel {
 
   /// delay = the RPH bound at 50% of the swing; output slope = the
   /// bound-consistent transition estimate (bound at 90% minus bound at
-  /// 10%, scaled to a full swing).
-  DelayEstimate estimate(const Stage& stage) const override;
-  /// Batch kernel over the store's cached T_D / T_P (the RPH bound
-  /// formulas need nothing else; input slopes are ignored like in
-  /// estimate()).
-  void estimate_batch(const StageStore& store,
-                      std::span<const StageStore::StageId> ids,
-                      std::span<const Seconds> input_slopes,
-                      std::span<DelayEstimate> out) const override;
+  /// 10%, scaled to a full swing).  Input slopes are ignored.
+  DelayEstimate kernel(const StageTotals& t, Seconds /*input_slope*/,
+                       std::vector<AuditTerm>* /*audit*/) const {
+    const auto at = [this, &t](double v) {
+      const RcTree::Bounds b = rph_bounds(t.elmore, t.tp, v);
+      return mode_ == Mode::kUpper ? b.upper : b.lower;
+    };
+    DelayEstimate est;
+    est.delay = at(0.5);
+    // Transition-time estimate from the same bound family; guaranteed
+    // non-negative because the bounds are monotone in v.
+    est.output_slope = (at(0.9) - at(0.1)) / 0.8;
+    if (est.output_slope <= 0.0) {
+      est.output_slope = kSlopeFactor * t.elmore;
+    }
+    return est;
+  }
 
   Mode mode() const { return mode_; }
 

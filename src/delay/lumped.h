@@ -2,7 +2,7 @@
 //
 // Every resistance in the stage is summed into one R, every capacitance
 // into one C, and the stage is treated as a single RC section:
-// delay = ln(2) R C, output slope = ln(9)/0.8 R C.  Input slope is
+// delay = ln(2) R C, output slope = ln9/0.8 R C.  Input slope is
 // ignored entirely -- that blindness is what Table 2/Fig. 2 expose.
 #pragma once
 
@@ -10,18 +10,19 @@
 
 namespace sldm {
 
-class LumpedRcModel final : public DelayModel {
+class LumpedRcModel final : public KernelModel<LumpedRcModel> {
  public:
   std::string name() const override { return "lumped-rc"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  DelayEstimate estimate_audited(const Stage& stage,
-                                 DelayAudit& audit) const override;
-  /// Batch kernel over the store's cached R/C totals (no per-stage
-  /// materialization, no element walk).
-  void estimate_batch(const StageStore& store,
-                      std::span<const StageStore::StageId> ids,
-                      std::span<const Seconds> input_slopes,
-                      std::span<DelayEstimate> out) const override;
+
+  DelayEstimate kernel(const StageTotals& t, Seconds /*input_slope*/,
+                       std::vector<AuditTerm>* audit) const {
+    const Seconds tau = t.total_r * t.total_c;
+    if (audit) {
+      audit->push_back({"tau_lumped", tau, "s"});
+      audit->push_back({"ln2", kLn2, ""});
+    }
+    return {.delay = kLn2 * tau, .output_slope = kSlopeFactor * tau};
+  }
 };
 
 }  // namespace sldm

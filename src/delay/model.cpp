@@ -11,8 +11,7 @@ void DelayModel::estimate_batch(const StageStore& store,
   SLDM_EXPECTS(ids.size() == input_slopes.size());
   SLDM_EXPECTS(ids.size() == out.size());
   // Scalar fallback: materialize through one reused scratch stage and
-  // delegate -- bit-identical to per-stage estimate() by construction,
-  // and correct for any derived model that does not override.
+  // delegate -- bit-identical to per-stage estimate() by construction.
   Stage scratch;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     store.materialize(ids[i], input_slopes[i], scratch);
@@ -20,21 +19,22 @@ void DelayModel::estimate_batch(const StageStore& store,
   }
 }
 
-void DelayModel::fill_stage_audit(const Stage& stage,
+void DelayModel::fill_stage_audit(const StageTotals& totals,
+                                  Seconds input_slope,
                                   DelayAudit& audit) const {
   audit.model = name();
-  audit.total_resistance = stage.total_resistance();
-  audit.total_cap = stage.total_cap();
-  audit.destination_cap = stage.destination_cap();
-  audit.elmore = stage_elmore(stage);
-  audit.input_slope = stage.input_slope;
-  audit.path_devices = stage.elements.size();
+  audit.total_resistance = totals.total_r;
+  audit.total_cap = totals.total_c;
+  audit.destination_cap = totals.dest_c;
+  audit.elmore = totals.elmore;
+  audit.input_slope = input_slope;
+  audit.path_devices = totals.length;
   audit.terms.clear();
 }
 
 DelayEstimate DelayModel::estimate_audited(const Stage& stage,
                                            DelayAudit& audit) const {
-  fill_stage_audit(stage, audit);
+  fill_stage_audit(stage_totals(stage), stage.input_slope, audit);
   audit.estimate = estimate(stage);
   return audit.estimate;
 }

@@ -3,25 +3,26 @@
 // timing analyzer, the experiment harness, and the examples all take a
 // `const DelayModel&`.
 //
-// Besides the hot-path estimate(), every model supports an *audited*
-// evaluation that additionally reports the electrical terms the verdict
-// was built from (path resistance, capacitances, Elmore constant, and
-// model-specific factors such as the slope model's rho and table
-// multipliers).  The explain pipeline (timing/explain.h) re-evaluates
-// each critical-path stage through this hook to produce the paper's
-// Section-6-style per-stage breakdown.
+// One kernel per model.  Each concrete model writes its arithmetic
+// exactly once, as a kernel over a stage's StageTotals (delay/stage.h)
+// and the trigger's input slope, with an optional audit sink for the
+// model's own terms (the slope model's rho and table multipliers, the
+// lumped product, ...).  KernelModel derives the three entry points
+// every caller uses from that kernel:
 //
-// For throughput, models also expose estimate_batch(): one call prices
-// a whole batch of stages resident in a StageStore (delay/stage_store.h)
-// against per-item input slopes.  The contract is strict bit-identity:
-// estimate_batch must produce, for every item, exactly the DelayEstimate
-// that estimate() returns for the materialized stage -- same doubles,
-// not merely close ones -- so the analyzer's batched wavefront
-// propagation, the explain re-evaluations, and the fuzz oracles all
-// agree regardless of which entry point priced a stage.  The base-class
-// default materializes and delegates to estimate() (correct for any
-// model); the five concrete models override it with branch-light
-// kernels over the store's cached totals.
+//  * estimate(stage) prices stage_totals(stage);
+//  * estimate_batch(store, ids, slopes, out) prices the store's cached
+//    records -- the same stage_totals() doubles -- in a loop that calls
+//    the kernel directly, so the kernel inlines into it;
+//  * estimate_audited(stage, audit) prices stage_totals(stage) with the
+//    audit sink attached, for the explain pipeline (timing/explain.h).
+//
+// The three therefore agree bit for bit by construction -- the contract
+// the analyzer's batched propagation, the explain re-evaluations and
+// the fuzz oracles rely on, and that batch_kernel_test checks.
+// A model that does not derive from KernelModel overrides estimate()
+// and inherits the base class's materialize-and-delegate batch and
+// audit fallbacks.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +32,7 @@
 
 #include "delay/stage.h"
 #include "delay/stage_store.h"
+#include "util/contracts.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -90,8 +92,7 @@ class DelayModel {
   /// Contract: out[i] is bit-identical to
   /// estimate(store.materialize(ids[i], input_slopes[i])) -- the default
   /// implementation computes exactly that through a reused scratch
-  /// stage; overrides must preserve the identity (they read the store's
-  /// caches, which are built with the scalar path's arithmetic).
+  /// stage; KernelModel prices the store's cached StageTotals instead.
   /// Implementations are pure over (store, id, slope): concurrent calls
   /// on disjoint output spans are safe, which is what the analyzer's
   /// parallel wavefront relies on.
@@ -102,10 +103,9 @@ class DelayModel {
 
   /// Audited evaluation: fills `audit` with the generic stage terms and
   /// any model-specific contributions, and returns exactly what
-  /// estimate(stage) returns (bit-identical: implementations compute
-  /// the estimate the same way).  The base implementation fills the
-  /// generic terms and delegates to estimate(); models with internal
-  /// factors override it to expose them.
+  /// estimate(stage) returns.  The base implementation fills the
+  /// generic terms and delegates to estimate(); KernelModel adds the
+  /// terms its kernel appends.
   virtual DelayEstimate estimate_audited(const Stage& stage,
                                          DelayAudit& audit) const;
 
@@ -114,8 +114,50 @@ class DelayModel {
   DelayModel(const DelayModel&) = default;
   DelayModel& operator=(const DelayModel&) = default;
 
-  /// Fills the generic (model-independent) audit fields from `stage`.
-  void fill_stage_audit(const Stage& stage, DelayAudit& audit) const;
+  /// Fills the generic (model-independent) audit fields and clears the
+  /// model terms.
+  void fill_stage_audit(const StageTotals& totals, Seconds input_slope,
+                        DelayAudit& audit) const;
+};
+
+/// The three DelayModel entry points, derived from one kernel.  A model
+/// derives as `class M final : public KernelModel<M>` and provides
+///
+///   DelayEstimate kernel(const StageTotals& totals, Seconds input_slope,
+///                        std::vector<AuditTerm>* audit) const;
+///
+/// which prices one stage and, when `audit` is non-null, appends the
+/// model's own terms to it.  Kernels are defined in the model's header
+/// so that every batch loop instantiation inlines them.
+template <class Derived>
+class KernelModel : public DelayModel {
+ public:
+  DelayEstimate estimate(const Stage& stage) const final {
+    return self().kernel(stage_totals(stage), stage.input_slope, nullptr);
+  }
+
+  void estimate_batch(const StageStore& store,
+                      std::span<const StageStore::StageId> ids,
+                      std::span<const Seconds> input_slopes,
+                      std::span<DelayEstimate> out) const final {
+    SLDM_EXPECTS(ids.size() == input_slopes.size());
+    SLDM_EXPECTS(ids.size() == out.size());
+    // Store records were validated by stage_totals() at insertion.
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      out[i] = self().kernel(store.totals(ids[i]), input_slopes[i], nullptr);
+    }
+  }
+
+  DelayEstimate estimate_audited(const Stage& stage,
+                                 DelayAudit& audit) const final {
+    const StageTotals totals = stage_totals(stage);
+    fill_stage_audit(totals, stage.input_slope, audit);
+    audit.estimate = self().kernel(totals, stage.input_slope, &audit.terms);
+    return audit.estimate;
+  }
+
+ private:
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
 };
 
 }  // namespace sldm

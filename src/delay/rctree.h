@@ -10,18 +10,19 @@
 
 namespace sldm {
 
-class RcTreeModel final : public DelayModel {
+class RcTreeModel final : public KernelModel<RcTreeModel> {
  public:
   std::string name() const override { return "rc-tree"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  DelayEstimate estimate_audited(const Stage& stage,
-                                 DelayAudit& audit) const override;
-  /// Batch kernel over the store's cached Elmore constants (no RC tree
-  /// rebuild per evaluation).
-  void estimate_batch(const StageStore& store,
-                      std::span<const StageStore::StageId> ids,
-                      std::span<const Seconds> input_slopes,
-                      std::span<DelayEstimate> out) const override;
+
+  DelayEstimate kernel(const StageTotals& t, Seconds /*input_slope*/,
+                       std::vector<AuditTerm>* audit) const {
+    const Seconds td = t.elmore;
+    if (audit) {
+      audit->push_back({"t_elmore", td, "s"});
+      audit->push_back({"ln2", kLn2, ""});
+    }
+    return {.delay = kLn2 * td, .output_slope = kSlopeFactor * td};
+  }
 };
 
 }  // namespace sldm

@@ -9,31 +9,50 @@
 // the estimated output slope becomes the next stage's input slope.
 #pragma once
 
+#include <utility>
+
 #include "delay/model.h"
 #include "delay/slope_table.h"
 
 namespace sldm {
 
-class SlopeModel final : public DelayModel {
+class SlopeModel final : public KernelModel<SlopeModel> {
  public:
   /// `tables` must contain an entry for every (trigger type, direction)
-  /// that estimate() will see; estimate() enforces this per call.
-  explicit SlopeModel(SlopeTables tables);
+  /// the model will see; the kernel enforces this per stage.
+  explicit SlopeModel(SlopeTables tables) : tables_(std::move(tables)) {}
 
   std::string name() const override { return "slope"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  /// Additionally exposes rho and the table multipliers as audit terms.
-  DelayEstimate estimate_audited(const Stage& stage,
-                                 DelayAudit& audit) const override;
-  /// Batch kernel: cached Elmore constant + per-item slope ratio and
-  /// table lookups (no RC tree rebuild per evaluation).
-  void estimate_batch(const StageStore& store,
-                      std::span<const StageStore::StageId> ids,
-                      std::span<const Seconds> input_slopes,
-                      std::span<DelayEstimate> out) const override;
 
-  /// The slope ratio estimate() uses for a stage.
-  static double slope_ratio(const Stage& stage, Seconds elmore);
+  /// Audit terms: the Elmore constant, rho and both table multipliers.
+  DelayEstimate kernel(const StageTotals& t, Seconds input_slope,
+                       std::vector<AuditTerm>* audit) const {
+    SLDM_EXPECTS(tables_.has(t.trigger_type, t.output_dir));
+    const SlopeEntry& e = tables_.entry(t.trigger_type, t.output_dir);
+    const Seconds td = t.elmore;
+    const double rho = slope_ratio(input_slope, td);
+    const double dm = e.delay_mult(rho);
+    const double sm = e.slope_mult(rho);
+    if (audit) {
+      audit->push_back({"t_elmore", td, "s"});
+      audit->push_back({"rho", rho, ""});
+      audit->push_back({"delay_mult", dm, ""});
+      audit->push_back({"slope_mult", sm, ""});
+    }
+    SLDM_ENSURES(dm > 0.0 && sm > 0.0);
+    return {.delay = kLn2 * dm * td, .output_slope = kSlopeFactor * sm * td};
+  }
+
+  /// The slope ratio rho = input_slope / elmore.  Precondition:
+  /// elmore > 0.
+  static double slope_ratio(Seconds input_slope, Seconds elmore) {
+    SLDM_EXPECTS(elmore > 0.0);
+    return input_slope / elmore;
+  }
+  /// The slope ratio the model uses for a stage.
+  static double slope_ratio(const Stage& stage, Seconds elmore) {
+    return slope_ratio(stage.input_slope, elmore);
+  }
 
   const SlopeTables& tables() const { return tables_; }
 

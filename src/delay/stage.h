@@ -7,16 +7,18 @@
 // (src/timing) produces it from a netlist, and tests/benches also build
 // stages directly.
 //
-// The analyzer's hot path does not evaluate standalone Stage objects:
-// extracted stages live in the flat StageStore (delay/stage_store.h),
-// which caches every derived electrical total at insertion time.  Stage
-// remains the materialized per-stage view for tests, explain traces,
-// the fuzz oracles, and direct model evaluation -- and it memoizes its
-// own path totals so repeated queries (audits, per-model sweeps) do not
-// re-walk the element vector.
+// Every delay model prices a stage from its StageTotals: the
+// slope-independent record that stage_totals() derives, with the one
+// Elmore/T_P summation all model evaluation uses.  The analyzer's hot
+// path never sees a Stage at all -- the StageStore
+// (delay/stage_store.h) keeps one StageTotals per extracted stage,
+// computed by the same stage_totals().  Stage itself is a plain value
+// with no cached state: the materialized per-stage view for tests,
+// explain traces, the fuzz oracles, and direct model evaluation.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "netlist/types.h"
@@ -41,50 +43,49 @@ struct Stage {
   /// time); 0 means an ideal step.
   Seconds input_slope = 0.0;
   /// Path from the value source (front) to the destination (back).
-  /// Mutating this vector directly leaves any memoized totals stale
-  /// until the next validate() -- which every model evaluation performs
-  /// -- or an explicit refresh_totals().
   std::vector<StageElement> elements;
   /// Index into `elements` of the trigger transistor.
   std::size_t trigger_index = 0;
 
   /// Capacitance at the destination node.
   Farads destination_cap() const;
-  /// Sum of path resistances.  Memoized: validate() (and therefore
-  /// every model evaluation) refreshes the cache, so hot callers that
-  /// validate first pay the element walk once per evaluation instead
-  /// of once per query.
+  /// Sum of path resistances, front to back.
   Ohms total_resistance() const;
-  /// Sum of path node capacitances (memoized like total_resistance()).
+  /// Sum of path node capacitances, front to back.
   Farads total_cap() const;
-
-  /// Recomputes the memoized totals from `elements` (same front-to-back
-  /// summation order as the uncached getters, so cached and uncached
-  /// reads are bit-identical).  Called by validate(); call it manually
-  /// after mutating `elements` if totals are read without a
-  /// re-validation.
-  void refresh_totals() const;
-
- private:
-  mutable Ohms cached_total_r_ = 0.0;
-  mutable Farads cached_total_c_ = 0.0;
-  mutable bool totals_cached_ = false;
 };
 
 /// Validates stage invariants: non-empty path, trigger in range,
 /// positive resistances, non-negative caps, positive total cap,
 /// non-negative input slope.  Throws ContractViolation otherwise.
-/// Also refreshes the stage's memoized totals (it walks the elements
-/// anyway), so evaluation paths that validate first get cached totals
-/// for free.
 void validate(const Stage& stage);
+
+/// Everything a delay model reads of a stage except the input slope:
+/// the one record every model kernel (delay/model.h) prices.
+struct StageTotals {
+  Transition output_dir = Transition::kFall;
+  TransistorType trigger_type = TransistorType::kNEnhancement;
+  std::uint32_t length = 0;     ///< channel devices on the path
+  Ohms total_r = 0.0;           ///< Stage::total_resistance()
+  Farads total_c = 0.0;         ///< Stage::total_cap()
+  Farads dest_c = 0.0;          ///< Stage::destination_cap()
+  Seconds elmore = 0.0;         ///< Elmore constant at the destination
+  Seconds tp = 0.0;             ///< RPH total time constant T_P
+};
+
+/// Validates `stage` (like validate()) and derives its StageTotals.
+/// elmore and tp are the exact doubles RcTree::elmore(destination) and
+/// RcTree::total_time_constant() return for to_rc_tree(stage): the same
+/// terms summed in the same order, without building the tree.
+StageTotals stage_totals(const Stage& stage);
 
 /// Builds the (chain-shaped) RC tree of the stage: root at the value
 /// source, one tree node per element.  The destination is the last tree
 /// node (index elements.size()).
 RcTree to_rc_tree(const Stage& stage);
 
-/// Elmore time constant at the stage destination.
+/// Elmore time constant at the stage destination
+/// (stage_totals(stage).elmore).
 Seconds stage_elmore(const Stage& stage);
 
 }  // namespace sldm

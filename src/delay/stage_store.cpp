@@ -6,10 +6,7 @@
 namespace sldm {
 
 StageStore::StageId StageStore::add(const Stage& stage) {
-  // validate() also refreshes the stage's memoized totals, which add()
-  // then copies verbatim -- the cached store totals are therefore the
-  // exact doubles Stage::total_resistance()/total_cap() return.
-  validate(stage);
+  const StageTotals t = stage_totals(stage);
   SLDM_EXPECTS(offset_.back() + stage.elements.size() <= UINT32_MAX);
 
   const StageId id = static_cast<StageId>(size());
@@ -20,41 +17,14 @@ StageStore::StageId StageStore::add(const Stage& stage) {
   }
   offset_.push_back(static_cast<std::uint32_t>(elem_r_.size()));
 
-  output_dir_.push_back(stage.output_dir);
+  output_dir_.push_back(t.output_dir);
   trigger_index_.push_back(static_cast<std::uint32_t>(stage.trigger_index));
-  trigger_type_.push_back(stage.elements[stage.trigger_index].type);
-  total_r_.push_back(stage.total_resistance());
-  total_c_.push_back(stage.total_cap());
-  dest_c_.push_back(stage.destination_cap());
-
-  // The Elmore constant and the RPH total time constant replicate the
-  // RcTree arithmetic the scalar models run (to_rc_tree builds a pure
-  // chain: tree node k is element k-1, the destination is the last
-  // node), term for term and in the same summation order, so batch
-  // kernels reading these caches reproduce scalar results bit for bit
-  // -- without allocating a tree per stage:
-  //  * RcTree::path_resistance(k) sums r_up from node k upward
-  //    (descending element index);
-  //  * elmore(dest) adds path_resistance(k) * cap_k over ascending k,
-  //    skipping zero caps (the LCA of the destination with any chain
-  //    node k is k itself, so common_resistance == path_resistance);
-  //  * total_time_constant() is the same sum without the skip (the
-  //    zero-cap root contributes +0.0, which no non-negative sum
-  //    notices).
-  const std::size_t n = stage.elements.size();
-  Seconds td = 0.0;
-  Seconds tp = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    Ohms path_r = 0.0;
-    for (std::size_t a = k; a != 0; --a) {
-      path_r += stage.elements[a - 1].resistance;
-    }
-    const Farads c = stage.elements[k - 1].cap;
-    if (c != 0.0) td += path_r * c;
-    tp += path_r * c;
-  }
-  elmore_.push_back(td);
-  tp_.push_back(tp);
+  trigger_type_.push_back(t.trigger_type);
+  total_r_.push_back(t.total_r);
+  total_c_.push_back(t.total_c);
+  dest_c_.push_back(t.dest_c);
+  elmore_.push_back(t.elmore);
+  tp_.push_back(t.tp);
   return id;
 }
 
@@ -102,7 +72,6 @@ void StageStore::materialize(StageId s, Seconds input_slope,
   for (std::uint32_t i = 0; i < n; ++i) {
     out.elements[i] = StageElement{types[i], rs[i], cs[i]};
   }
-  out.refresh_totals();
 }
 
 Stage StageStore::materialize(StageId s, Seconds input_slope) const {

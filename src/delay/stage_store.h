@@ -9,19 +9,18 @@
 //
 //  * element data (type / resistance / capacitance) lives in three
 //    contiguous arrays, with a per-stage [offset, offset+length) window;
-//  * every slope-independent derived quantity is cached per stage:
-//    total path resistance, total path capacitance, destination
-//    capacitance, the Elmore constant at the destination, and the RPH
-//    total time constant.  Caches are computed through exactly the same
-//    arithmetic (same summation order, same RcTree walk) as the
-//    standalone Stage/RcTree path, so model results over the store are
-//    bit-identical to scalar evaluation of the materialized stage.
+//  * each stage's StageTotals record (delay/stage.h) -- total path
+//    resistance and capacitance, destination capacitance, the Elmore
+//    constant and the RPH total time constant -- is stored, one array
+//    per field, as stage_totals() returned it at add().  The scalar
+//    path calls the same function on the materialized stage, so both
+//    hand the model kernels the same record, bit for bit.
 //
 // Only the trigger's input slope varies between evaluations of one
 // stage, so DelayModel::estimate_batch (delay/model.h) takes the store
 // plus parallel (stage id, input slope) spans and never materializes a
-// Stage on the specialized kernels' hot path.  materialize() rebuilds
-// the thin Stage view for tests, explain traces, and the fuzz oracles.
+// Stage.  materialize() rebuilds the thin Stage view for tests, explain
+// traces, and the fuzz oracles.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +35,7 @@ class StageStore {
   /// Index of a stage within the store (assigned densely by add()).
   using StageId = std::uint32_t;
 
-  /// Appends a validated stage and caches its derived totals.  Throws
+  /// Appends a stage and its stage_totals() record.  Throws
   /// ContractViolation exactly like validate(stage) would.  Returns the
   /// new stage's id (== size() before the call).
   StageId add(const Stage& stage);
@@ -52,6 +51,13 @@ class StageStore {
   std::size_t element_count() const { return elem_r_.size(); }
 
   // --- Per-stage cached quantities (hot accessors, no recomputation).
+  /// The stage's record: field for field what stage_totals() returned
+  /// for the stage at add().  Assembled from one array per field, so a
+  /// kernel that inlines it loads only the fields it reads.
+  StageTotals totals(StageId s) const {
+    return {output_dir_[s], trigger_type_[s], length(s), total_r_[s],
+            total_c_[s],    dest_c_[s],       elmore_[s], tp_[s]};
+  }
   Transition output_dir(StageId s) const { return output_dir_[s]; }
   std::uint32_t length(StageId s) const {
     return offset_[s + 1] - offset_[s];
@@ -121,7 +127,8 @@ class StageStore {
   std::vector<Farads> elem_c_;
   std::vector<std::uint32_t> offset_{0};
 
-  // Per-stage records.
+  // Per-stage records: trigger_index_ plus one array per StageTotals
+  // field (the path length is the offset window).
   std::vector<Transition> output_dir_;
   std::vector<std::uint32_t> trigger_index_;
   std::vector<TransistorType> trigger_type_;

@@ -9,18 +9,20 @@
 
 namespace sldm {
 
-class UnitDelayModel final : public DelayModel {
+class UnitDelayModel final : public KernelModel<UnitDelayModel> {
  public:
   /// `unit` is the fixed per-stage delay.  Precondition: unit > 0.
-  explicit UnitDelayModel(Seconds unit);
+  explicit UnitDelayModel(Seconds unit) : unit_(unit) {
+    SLDM_EXPECTS(unit > 0.0);
+  }
 
   std::string name() const override { return "unit-delay"; }
-  DelayEstimate estimate(const Stage& stage) const override;
-  /// Batch kernel: a constant fill (store stages are pre-validated).
-  void estimate_batch(const StageStore& store,
-                      std::span<const StageStore::StageId> ids,
-                      std::span<const Seconds> input_slopes,
-                      std::span<DelayEstimate> out) const override;
+
+  /// A constant; the stage is still validated on the way in.
+  DelayEstimate kernel(const StageTotals& /*t*/, Seconds /*input_slope*/,
+                       std::vector<AuditTerm>* /*audit*/) const {
+    return {.delay = unit_, .output_slope = unit_};
+  }
 
   Seconds unit() const { return unit_; }
 

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/contracts.h"
 #include "util/units.h"
 
 namespace sldm {
@@ -81,6 +82,20 @@ class RcTree {
   std::vector<Ohms> r_up_;           // resistance to parent (0 for root)
   std::vector<Farads> cap_;
 };
+
+/// The RPH bounds of RcTree::rph_bounds from a node's Elmore constant
+/// `td` and the tree's total time constant `tp` -- the formulas need
+/// nothing else, which is what lets the bounds delay model price a stage
+/// from its cached totals.  Precondition: 0 < v < 1.
+inline RcTree::Bounds rph_bounds(Seconds td, Seconds tp, double v) {
+  SLDM_EXPECTS(v > 0.0 && v < 1.0);
+  RcTree::Bounds b;
+  b.lower = td - (1.0 - v) * tp;
+  if (b.lower < 0.0) b.lower = 0.0;
+  b.upper = td / (1.0 - v);
+  SLDM_ENSURES(b.upper >= b.lower);
+  return b;
+}
 
 /// ln(2): time-constant -> 50% delay conversion for an exponential.
 inline constexpr double kLn2 = 0.6931471805599453;

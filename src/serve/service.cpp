@@ -446,7 +446,15 @@ struct TimingService::ServeRequestDispatch {
   static std::string eco(TimingService& svc, const ServeRequest& req) {
     auto entry = svc.take_for_eco(req.design);
     const std::weak_ptr<CompiledDesign> master = entry->design;
-    const auto model = make_model(req.model, entry->tables.get());
+    std::unique_ptr<DelayModel> model;
+    try {
+      model = make_model(req.model, entry->tables.get());
+    } catch (...) {
+      // A bad model name (or slope without tables) touched nothing:
+      // put the design back under its fingerprint.
+      svc.insert_entry(req.design, entry);
+      throw;
+    }
     // Declared before the analyzer so the analyzer (which borrows it)
     // dies first on every exit path.
     const CancelToken deadline = deadline_for(req, svc.options_);

@@ -24,7 +24,7 @@ TransistorType type_from_letter(const std::string& s, const std::string& origin,
 
 void write_tech(const Tech& tech, std::ostream& out) {
   out << "# sldm technology description\n";
-  out << "tech " << tech.name() << " vdd " << format("%.6g", tech.vdd())
+  out << "tech " << tech.name() << " vdd " << format("%.17g", tech.vdd())
       << '\n';
   for (TransistorType type :
        {TransistorType::kNEnhancement, TransistorType::kNDepletion,
@@ -33,8 +33,8 @@ void write_tech(const Tech& tech, std::ostream& out) {
     const DeviceParams& p = tech.params(type);
     out << "device " << to_letter(type)
         << format(
-               " vt %.6g kp %.6g lambda %.6g cox %.6g cov_w %.6g cj_w %.6g"
-               " r_up_sq %.6g r_down_sq %.6g",
+               " vt %.17g kp %.17g lambda %.17g cox %.17g cov_w %.17g"
+               " cj_w %.17g r_up_sq %.17g r_down_sq %.17g",
                p.vt, p.kp, p.lambda, p.cox, p.cov_w, p.cj_w, p.r_up_sq,
                p.r_down_sq)
         << '\n';

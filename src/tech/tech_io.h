@@ -8,6 +8,8 @@
 //   (a device record is one physical line)
 // ('#' introduces comments; fields are keyword/value pairs and may appear
 // in any order after the leading record keyword.)
+// Values are written with %.17g, so a write -> read round trip
+// reproduces every double, and with it the tech_fingerprint().
 #pragma once
 
 #include <iosfwd>

@@ -6,6 +6,8 @@
 // batch larger than the store) and the base-class scalar fallback.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "delay/bounds.h"
@@ -15,6 +17,7 @@
 #include "delay/stage_store.h"
 #include "delay/unit.h"
 #include "gen/generators.h"
+#include "rc/rc_tree.h"
 #include "tech/tech.h"
 #include "timing/analyzer.h"
 
@@ -150,6 +153,64 @@ TEST(BatchKernel, StoreCachesMatchStandaloneStageTotals) {
     EXPECT_EQ(store.total_cap(id), stage.total_cap());
     EXPECT_EQ(store.destination_cap(id), stage.destination_cap());
     EXPECT_EQ(store.length(id), stage.elements.size());
+  }
+}
+
+/// Model evaluation never builds an RcTree: stage_totals() is the one
+/// Elmore / T_P summation every kernel reads, and RcTree is the
+/// independent general-tree reference it must reproduce exactly.
+void expect_totals_match_rc_tree(const Stage& stage, const ModelSet& models,
+                                 const std::string& what) {
+  const StageTotals totals = stage_totals(stage);
+  const RcTree tree = to_rc_tree(stage);
+  const std::size_t n = stage.elements.size();
+  EXPECT_EQ(totals.elmore, tree.elmore(n)) << what;
+  EXPECT_EQ(totals.tp, tree.total_time_constant()) << what;
+  const RcTree::Bounds b = tree.rph_bounds(n, 0.5);
+  EXPECT_EQ(models.upper.kernel(totals, stage.input_slope, nullptr).delay,
+            b.upper)
+      << what;
+  EXPECT_EQ(models.lower.kernel(totals, stage.input_slope, nullptr).delay,
+            b.lower)
+      << what;
+}
+
+TEST(BatchKernel, SharedSummationMatchesRcTreeBitForBit) {
+  const ModelSet models;
+  const RcTreeModel extraction_model;
+  for (const GeneratedCircuit& g : generator_suite()) {
+    const TimingAnalyzer an(g.netlist, tech_for(g), extraction_model);
+    const StageStore& store = an.stage_store();
+    for (std::size_t s = 0; s < store.size(); ++s) {
+      const auto id = static_cast<StageStore::StageId>(s);
+      const Stage stage = store.materialize(id, slope_for(s));
+      const std::string what = g.name + " stage " + std::to_string(s);
+      expect_totals_match_rc_tree(stage, models, what);
+      EXPECT_EQ(store.elmore(id), stage_totals(stage).elmore) << what;
+      EXPECT_EQ(store.total_time_constant(id), stage_totals(stage).tp)
+          << what;
+    }
+  }
+  // Extracted stages are short and often uniform, where any summation
+  // order rounds alike; long chains of irregular values (and zero caps)
+  // are where a reordered sum would show.
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<double>(x % 1000003) / 1000003.0;
+  };
+  for (std::size_t len = 1; len <= 24; ++len) {
+    Stage stage;
+    for (std::size_t k = 0; k < len; ++k) {
+      const Farads cap = k % 5 == 2 ? 0.0 : 1e-15 + 80e-15 * next();
+      stage.elements.push_back(
+          {TransistorType::kNEnhancement, 1e3 + 40e3 * next(), cap});
+    }
+    stage.elements.back().cap += 1e-15;
+    expect_totals_match_rc_tree(stage, models,
+                                "chain of " + std::to_string(len));
   }
 }
 

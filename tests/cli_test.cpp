@@ -418,6 +418,22 @@ TEST(Cli, CompileUsageErrors) {
   EXPECT_EQ(run({"compile", "-o", "/tmp/x.sldc"}).code, 2);  // no input
 }
 
+TEST(Cli, CompileWithUnknownModelFailsLikeTime) {
+  TempFile f("inv.sim", kInverterSim);
+  const std::string sldc = "/tmp/sldm_cli_test_bogus.sldc";
+  std::remove(sldc.c_str());
+  const CliRun compile =
+      run({"compile", f.path(), "-o", sldc, "--model", "bogus"});
+  const CliRun time = run({"time", f.path(), "--model", "bogus"});
+  EXPECT_EQ(compile.code, 1);
+  EXPECT_EQ(compile.code, time.code);
+  EXPECT_NE(compile.err.find("unknown model 'bogus'"), std::string::npos)
+      << compile.err;
+  EXPECT_EQ(compile.err, time.err);
+  EXPECT_FALSE(std::ifstream(sldc).good()) << "a snapshot was written";
+  std::remove(sldc.c_str());
+}
+
 TEST(Cli, LoadingGarbageIsAnalysisError) {
   TempFile junk("junk.sldc", "this is not a snapshot");
   const CliRun r = run({"time", "--load", junk.path(), "--model",
@@ -449,6 +465,34 @@ TEST(Cli, BenchDiffRejectsMalformedRecordsWithLocation) {
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find(":2:"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("wall_seconds"), std::string::npos) << r.err;
+}
+
+TEST(Cli, TimeAndExplainMatchGoldenOutputs) {
+  // testdata/golden/ holds `sldm time` and `sldm explain out --json` on
+  // the sample datapath for every registry model.  The explain records
+  // print every double with %.17g, so this pins each model's delays and
+  // audit terms -- their order and their exact values -- bit for bit.
+  const std::string dir = std::string(SLDM_SOURCE_DIR) + "/testdata/";
+  const std::string sim = dir + "sample_datapath.sim";
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  for (const std::string model :
+       {"slope", "lumped", "rc-tree", "rph-upper", "unit"}) {
+    const CliRun time = run({"time", sim, "--model", model});
+    EXPECT_EQ(time.code, 0) << model << ": " << time.err;
+    EXPECT_EQ(time.out, slurp(dir + "golden/time_" + model + ".txt"))
+        << model;
+    const CliRun explain =
+        run({"explain", sim, "out", "--model", model, "--json"});
+    EXPECT_EQ(explain.code, 0) << model << ": " << explain.err;
+    EXPECT_EQ(explain.out, slurp(dir + "golden/explain_" + model + ".json"))
+        << model;
+  }
 }
 
 }  // namespace

@@ -438,6 +438,33 @@ TEST(ServeService, FailedEcoScriptSalvagesThePristineDesign) {
   EXPECT_NE(again.find("\"ok\":true"), std::string::npos) << again;
 }
 
+TEST(ServeService, EcoWithABadModelKeepsTheDesign) {
+  HubGuard guard;
+  TimingService service;
+  TempFile sim("chain_badmodel.sim", kChainSim);
+  const std::string fp = load_design(service, sim.path(), "rc-tree");
+  ASSERT_EQ(fp.size(), 16u);
+  const auto eco = [&](const std::string& model) {
+    return service.handle_line("{\"kind\":\"eco\",\"design\":\"" + fp +
+                               "\",\"model\":\"" + model +
+                               "\",\"script\":\"addcap out 5\\n\"}");
+  };
+  // An unknown model is a bad request; slope on a design loaded without
+  // tables fails.  Neither may cost the cache its design.
+  const std::string bogus = eco("bogus");
+  EXPECT_NE(bogus.find("\"error\":\"bad-request\""), std::string::npos)
+      << bogus;
+  const std::string slope = eco("slope");
+  EXPECT_NE(slope.find("\"error\":\"failed\""), std::string::npos) << slope;
+
+  const std::string cold = cold_cli({"time", sim.path(), "--model", "rc-tree"});
+  const std::string served = service.handle_line(
+      "{\"kind\":\"time\",\"design\":\"" + fp + "\",\"model\":\"rc-tree\"}");
+  EXPECT_NE(served.find("\"report\":\"" + json_escape(cold) + "\""),
+            std::string::npos)
+      << served;
+}
+
 TEST(ServeService, SimLoadsCalibrateOncePerTechnology) {
   HubGuard guard;
   TimingService service;

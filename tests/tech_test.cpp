@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "design/compiled_design.h"
 #include "tech/tech.h"
 #include "tech/tech_io.h"
 #include "util/contracts.h"
@@ -148,11 +149,21 @@ TEST(TechIo, RoundTripPreservesEverything) {
     const DeviceParams& pa = a.params(type);
     const DeviceParams& pb = b.params(type);
     EXPECT_NEAR(pb.vt, pa.vt, 1e-12);
-    // Values are serialized with %.6g, so expect ~6 significant digits.
+    // Values are serialized with %.17g (exact); ~6 digits is all this
+    // test asks for.
     EXPECT_NEAR(pb.kp / pa.kp, 1.0, 1e-5);
     EXPECT_NEAR(pb.cox / pa.cox, 1.0, 1e-5);
     EXPECT_NEAR(pb.r_up_sq / pa.r_up_sq, 1.0, 1e-5);
     EXPECT_NEAR(pb.r_down_sq / pa.r_down_sq, 1.0, 1e-5);
+  }
+}
+
+TEST(TechIo, RoundTripKeepsTheFingerprint) {
+  for (const Tech& a : {nmos4(), cmos3()}) {
+    std::stringstream ss;
+    write_tech(a, ss);
+    const Tech b = read_tech(ss, "<roundtrip>");
+    EXPECT_EQ(tech_fingerprint(b), tech_fingerprint(a)) << a.name();
   }
 }
 
