@@ -9,8 +9,9 @@
 #   2. asan preset: the full test suite under AddressSanitizer/UBSan;
 #   3. tsan preset: the concurrency-sensitive suites (parallel stage
 #      extraction, batched wavefront propagation, the incremental-
-#      update pipeline built on them, and the shared calibration memo)
-#      under ThreadSanitizer;
+#      update pipeline built on them, concurrent reader sessions over
+#      one shared design (design_test), and the shared calibration
+#      memo) under ThreadSanitizer;
 #   4. ubsan preset: the timing suites and the delay-model suites
 #      (batch_kernel_test, delay_test, bounds_model_test) under
 #      standalone UBSan with -fno-sanitize-recover (any report traps);
@@ -76,9 +77,9 @@ echo "check.sh: all tests passed under asan+ubsan"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target parallel_timing_test eco_timing_test telemetry_test serve_test \
-           model_registry_test
+           model_registry_test design_test
 ctest --preset tsan -j "$jobs" \
-  -R 'parallel_timing_test|eco_timing_test|telemetry_test|serve_test|model_registry_test'
+  -R 'parallel_timing_test|eco_timing_test|telemetry_test|serve_test|model_registry_test|design_test'
 echo "check.sh: threaded suites passed under tsan"
 
 cmake --preset ubsan

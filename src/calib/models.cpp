@@ -69,6 +69,20 @@ std::unique_ptr<DelayModel> make_model(const std::string& name,
   }
   if (name == "unit") return std::make_unique<UnitDelayModel>(1e-9);
   if (!tables) throw MissingTablesError("the slope model needs slope tables");
+  // The kernel needs an entry for whatever stage it prices, so an
+  // incomplete set is refused here, by name, not mid-propagation.
+  for (const TransistorType type :
+       {TransistorType::kNEnhancement, TransistorType::kNDepletion,
+        TransistorType::kPEnhancement}) {
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      if (!tables->has(type, dir)) {
+        throw MissingTablesError("slope tables have no 'entry " +
+                                 to_letter(type) + ' ' + to_string(dir) +
+                                 "' (" + to_string(type) +
+                                 "); the slope model needs all six entries");
+      }
+    }
+  }
   return std::make_unique<SlopeModel>(*tables);
 }
 

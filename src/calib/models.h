@@ -43,7 +43,8 @@ class UnknownModelError : public Error {
   using Error::Error;
 };
 
-/// make_model() was asked for the slope model without slope tables.
+/// make_model() was asked for the slope model without slope tables, or
+/// with tables that lack one of the six (type, direction) entries.
 class MissingTablesError : public Error {
  public:
   using Error::Error;
@@ -52,8 +53,9 @@ class MissingTablesError : public Error {
 /// Throws UnknownModelError unless make_model() builds `name`.
 void check_model_name(const std::string& name);
 
-/// Builds a delay model by name: "slope" (needs `tables`, copied into
-/// the model), "lumped", "rc-tree", "rph-upper" or "unit".
+/// Builds a delay model by name: "slope" (needs `tables` with all six
+/// entries, copied into the model), "lumped", "rc-tree", "rph-upper" or
+/// "unit".
 std::unique_ptr<DelayModel> make_model(const std::string& name,
                                        const SlopeTables* tables);
 

@@ -263,7 +263,7 @@ class LedgerScope {
 /// Seeds input events from --constraints or --slope-ns (both commands
 /// share the convention).  Returns the constraints for slack reporting.
 Constraints seed_events(const Options& opts, const Netlist& nl,
-                        TimingAnalyzer& analyzer) {
+                        Session& analyzer) {
   Constraints constraints;
   if (const auto ct = opts.get("constraints")) {
     constraints = read_constraints_file(*ct);
@@ -305,7 +305,7 @@ struct AnalysisSetup {
   std::unique_ptr<Netlist> nl;    // direct path only
   std::unique_ptr<Tech> tech;     // direct path only
   std::unique_ptr<DelayModel> model;
-  std::unique_ptr<TimingAnalyzer> analyzer;
+  std::unique_ptr<Session> analyzer;
 
   const Netlist& netlist() const { return analyzer->netlist(); }
 };
@@ -335,14 +335,14 @@ AnalysisSetup open_analysis(const Options& opts, const char* usage_msg,
       }
     }
     s.model = make_model(model_name, tables ? &*tables : nullptr);
-    s.analyzer = std::make_unique<TimingAnalyzer>(
+    s.analyzer = std::make_unique<Session>(
         std::move(loaded.design), *s.model, analyzer_options(opts));
   } else {
     s.nl = std::make_unique<Netlist>(read_sim_file(opts.positional[0]));
     ModelInputs in = model_inputs(opts, err);
     s.model = make_model(model_name, in.tables.get());
     s.tech = std::make_unique<Tech>(std::move(in.tech));
-    s.analyzer = std::make_unique<TimingAnalyzer>(
+    s.analyzer = std::make_unique<Session>(
         *s.nl, *s.tech, *s.model, analyzer_options(opts));
   }
   return s;
@@ -358,7 +358,7 @@ void note_analysis(LedgerScope& ledger, const Options& opts,
   r.source = opts.get("load").value_or(
       opts.positional.empty() ? std::string() : opts.positional[0]);
   r.model = s.model->name();
-  const TimingAnalyzer& analyzer = *s.analyzer;
+  const Session& analyzer = *s.analyzer;
   r.fingerprint = design_fingerprint(analyzer.netlist(), analyzer.tech());
   const AnalyzerStats& stats = analyzer.stats();
   r.threads = stats.threads;
@@ -375,7 +375,7 @@ void note_analysis(LedgerScope& ledger, const Options& opts,
 }
 
 void emit_stats(const Options& opts, const Netlist& nl,
-                const TimingAnalyzer& analyzer, std::ostream& out) {
+                const Session& analyzer, std::ostream& out) {
   if (!opts.flag("stats") && !opts.flag("json")) return;
   if (opts.flag("json")) {
     out << analyzer_stats_json(analyzer) << '\n';
@@ -392,7 +392,7 @@ int cmd_time(const Options& opts, std::ostream& out, std::ostream& err) {
       opts, "usage: time <file.sim> | time --load <design.sldc> [options]",
       0, err);
   const Netlist& nl = s.netlist();
-  TimingAnalyzer& analyzer = *s.analyzer;
+  Session& analyzer = *s.analyzer;
   const DelayModel& model = *s.model;
   const Constraints constraints = seed_events(opts, nl, analyzer);
   analyzer.run();
@@ -436,7 +436,7 @@ int cmd_explain(const Options& opts, std::ostream& out, std::ostream& err) {
       "[--dir rise|fall] [--json]",
       1, err);
   const Netlist& nl = s.netlist();
-  TimingAnalyzer& analyzer = *s.analyzer;
+  Session& analyzer = *s.analyzer;
   seed_events(opts, nl, analyzer);
   analyzer.run();
 
@@ -481,7 +481,7 @@ int cmd_eco(const Options& opts, std::ostream& out, std::ostream& err) {
       opts,
       "usage: eco <file.sim>|--load <design.sldc> <file.eco> [options]",
       1, err);
-  TimingAnalyzer& analyzer = *s.analyzer;
+  Session& analyzer = *s.analyzer;
   const DelayModel& model = *s.model;
   // The ECO edit surface: the caller-owned netlist on the direct path,
   // the design-owned one after --load.
@@ -503,7 +503,7 @@ int cmd_eco(const Options& opts, std::ostream& out, std::ostream& err) {
   write_prometheus(opts, out);
 
   if (opts.flag("verify")) {
-    TimingAnalyzer fresh(nl, tech, model, analyzer_options(opts));
+    Session fresh(nl, tech, model, analyzer_options(opts));
     seed_events(opts, nl, fresh);
     fresh.run();
     std::size_t mismatches = 0;

@@ -5,7 +5,7 @@
 #include "analog/elaborate.h"
 #include "analog/transient.h"
 #include "calib/models.h"
-#include "timing/analyzer.h"
+#include "design/session.h"
 #include "util/contracts.h"
 #include "util/error.h"
 
@@ -66,7 +66,7 @@ AnalyzeOnlyResult run_analyzer(const GeneratedCircuit& g, const Tech& tech,
                                const DelayModel& model, Seconds input_slope,
                                const AnalyzerOptions& options) {
   const Seconds t0 = now_seconds();
-  TimingAnalyzer analyzer(g.netlist, tech, model, options);
+  Session analyzer(g.netlist, tech, model, options);
   analyzer.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
   analyzer.run();
   AnalyzeOnlyResult out;
@@ -144,7 +144,7 @@ ComparisonResult run_comparison(const GeneratedCircuit& g,
 
   for (const DelayModel* model : ctx.models()) {
     const Seconds t0 = now_seconds();
-    TimingAnalyzer analyzer(g.netlist, ctx.tech(), *model);
+    Session analyzer(g.netlist, ctx.tech(), *model);
     analyzer.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
     analyzer.run();
     const auto arrival = analyzer.arrival(g.output, sim.output_dir);

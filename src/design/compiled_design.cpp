@@ -1,9 +1,11 @@
 #include "design/compiled_design.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
 #include "util/contracts.h"
+#include "util/error.h"
 #include "util/trace.h"
 
 namespace sldm {
@@ -112,6 +114,15 @@ std::shared_ptr<CompiledDesign> CompiledDesign::build_over(
   return design;
 }
 
+Netlist& CompiledDesign::mutable_netlist() {
+  if (!owns_netlist()) {
+    throw Error(
+        "mutable_netlist() on an analyzer over a borrowed netlist; "
+        "mutate the caller-owned Netlist directly");
+  }
+  return *owned_nl_;
+}
+
 void CompiledDesign::build(int threads) {
   SLDM_EXPECTS(threads >= 1);
   TraceSpan span("extract", "timing");
@@ -166,6 +177,93 @@ void CompiledDesign::recount_stages_per_ccc() {
   for (const TimingStage& ts : stages_) {
     ++per_ccc_[ccc_->component_of(ts.destination)];
   }
+}
+
+CompiledDesign::EcoSplice CompiledDesign::absorb_edits(int threads) {
+  const Netlist& nl = *nl_;
+  const ChangeLog& log = nl.changes();
+  const std::uint64_t since = built_revision_;
+  CccPartition& ccc = *ccc_;
+  EcoSplice out;
+  std::vector<std::size_t>& dirty = out.dirty;
+
+  // --- Partition sync: which components' stage sets may have changed.
+  {
+    TraceSpan sync_span("update-partition", "timing");
+    dirty = ccc.update(nl, log, since);
+    for (std::uint64_t i = since; i < log.revision(); ++i) {
+      if (log.entry(i).kind == ChangeKind::kNodeAdded) out.grew = true;
+    }
+    sync_span.arg("edits", static_cast<double>(log.revision() - since));
+    sync_span.arg("dirty_cccs", static_cast<double>(dirty.size()));
+  }
+  built_revision_ = log.revision();
+
+  std::vector<char> node_dirty(nl.node_count(), 0);
+  for (const std::size_t c : dirty) {
+    for (NodeId n : ccc.members(c)) node_dirty[n.index()] = 1;
+  }
+
+  // --- Re-extract the dirty components only (same fan-out and per-
+  // component stage order as a full extraction).
+  std::vector<std::vector<TimingStage>> fresh;
+  {
+    TraceSpan extract_span("update-extract", "timing");
+    fresh = extract_components(nl, extract_, ccc, dirty, threads);
+    for (const auto& bucket : fresh) out.reextracted += bucket.size();
+    extract_span.arg("cccs", static_cast<double>(dirty.size()));
+    extract_span.arg("stages", static_cast<double>(out.reextracted));
+  }
+
+  // --- Splice: walk nodes in ascending id order (the global stage
+  // order), dropping the old stages of dirty nodes and pulling in the
+  // freshly extracted ones; clean nodes keep theirs.  remap[] carries
+  // surviving old stage indices to their new positions so retained
+  // arrivals' via_stage links stay valid.
+  out.remap.assign(stages_.size(), SIZE_MAX);
+  TraceSpan splice_span("update-splice", "timing");
+  std::vector<TimingStage> merged;
+  merged.reserve(stages_.size() + out.reextracted);
+  std::vector<std::size_t> cursor(fresh.size(), 0);
+  std::vector<TimingStage> old = std::move(stages_);
+  std::size_t old_i = 0;
+  for (NodeId n : nl.all_nodes()) {
+    if (node_dirty[n.index()]) {
+      while (old_i < old.size() && old[old_i].destination == n) ++old_i;
+      const std::size_t c = ccc.component_of(n);
+      const auto it = std::lower_bound(dirty.begin(), dirty.end(), c);
+      SLDM_ASSERT(it != dirty.end() && *it == c);
+      const std::size_t b = static_cast<std::size_t>(it - dirty.begin());
+      std::size_t& cur = cursor[b];
+      while (cur < fresh[b].size() && fresh[b][cur].destination == n) {
+        // fresh is const for the workers' benefit; moving out of the
+        // bucket here would be safe but reads better as an explicit
+        // copy of the small TimingStage records.
+        merged.push_back(fresh[b][cur]);
+        ++cur;
+      }
+    } else {
+      while (old_i < old.size() && old[old_i].destination == n) {
+        out.remap[old_i] = merged.size();
+        merged.push_back(std::move(old[old_i]));
+        ++old_i;
+        ++out.reused;
+      }
+    }
+  }
+  SLDM_ASSERT(old_i == old.size());
+  stages_ = std::move(merged);
+
+  // --- Refresh the structure-dependent indexes.  The splice renumbered
+  // stages, so the SoA mirror must follow; a full rebuild keeps store
+  // ids == stage indices (the invariant the propagation and explain
+  // paths rely on).
+  recount_stages_per_ccc();
+  index_stages_by_trigger();
+  rebuild_store();
+  splice_span.arg("reused", static_cast<double>(out.reused));
+  splice_span.arg("reextracted", static_cast<double>(out.reextracted));
+  return out;
 }
 
 }  // namespace sldm

@@ -8,8 +8,8 @@
 // of times.  CompiledDesign is that phase reified as a value:
 //
 //   * the netlist (interned node-name table included) and technology,
-//     either owned (compile(), snapshot load) or borrowed (the
-//     TimingAnalyzer facade over caller-owned references);
+//     either owned (compile(), snapshot load) or borrowed (a writer
+//     Session built over caller-owned references);
 //   * the CccPartition and the extracted TimingStages in canonical
 //     global order;
 //   * the StageStore with every slope-independent electrical cache
@@ -20,10 +20,12 @@
 //   * a technology fingerprint for snapshot compatibility checks.
 //
 // A CompiledDesign is shared as shared_ptr<const CompiledDesign>:
-// Sessions (design/session.h) borrow it concurrently and never write
-// it.  The single sanctioned mutation path is TimingAnalyzer::update()
-// (ECO re-extraction), which requires exclusive ownership -- see the
-// friendship note below.  Snapshots (.sldc, design/snapshot.h) persist
+// reader Sessions (design/session.h) borrow it concurrently and never
+// write it.  The single sanctioned mutation path is an ECO update: the
+// design's one writer Session calls absorb_edits() (the structural
+// half: partition sync, re-extraction, splice, re-index, re-bake) and
+// then repairs its own arrivals, and it does so only while it holds
+// the sole reference.  Snapshots (.sldc, design/snapshot.h) persist
 // exactly the state held here.
 #pragma once
 
@@ -39,7 +41,6 @@
 
 namespace sldm {
 
-class TimingAnalyzer;
 struct SnapshotAccess;
 
 /// Compilation parameters (the structural half of AnalyzerOptions).
@@ -81,15 +82,16 @@ class CompiledDesign {
 
   /// compile() keeping the mutable handle: for owners (the serve-layer
   /// design cache) that hold a self-contained design yet must run
-  /// single-writer ECO updates through TimingAnalyzer.  Readers still
+  /// single-writer ECO updates through a writer Session.  Readers still
   /// receive it as shared_ptr<const CompiledDesign>.
   static std::shared_ptr<CompiledDesign> compile_owned(
       Netlist nl, Tech tech, const CompileOptions& options = {});
 
-  /// Compiles over borrowed references (the TimingAnalyzer facade
-  /// path).  `nl` and `tech` must outlive the design.  Returned
-  /// non-const so the single owner may run ECO updates through
-  /// TimingAnalyzer; share it onward as shared_ptr<const ...>.
+  /// Compiles over borrowed references (the writer Session's
+  /// Netlist/Tech constructor).  `nl` and `tech` must outlive the
+  /// design.  Returned non-const so the single owner may run ECO
+  /// updates through a writer Session; share it onward as
+  /// shared_ptr<const ...>.
   static std::shared_ptr<CompiledDesign> build_over(
       const Netlist& nl, const Tech& tech, const CompileOptions& options = {});
 
@@ -131,6 +133,35 @@ class CompiledDesign {
   /// Worker threads the build fanned extraction over.
   int build_threads() const { return build_threads_; }
 
+  /// The design-owned netlist (compile() and snapshot loads), the ECO
+  /// edit surface for adopted designs.  Throws Error when the design
+  /// borrows the caller's netlist -- mutate that one instead.
+  Netlist& mutable_netlist();
+
+  /// What absorb_edits() changed, for the writer session's arrival
+  /// repair.
+  struct EcoSplice {
+    /// Components whose stages were re-extracted, ascending.
+    std::vector<std::size_t> dirty;
+    /// Old stage index -> new stage index; SIZE_MAX for the dropped
+    /// stages of dirty components.
+    std::vector<std::size_t> remap;
+    /// True when the edits added nodes (the key space grew).
+    bool grew = false;
+    std::size_t reused = 0;       ///< stages carried over untouched
+    std::size_t reextracted = 0;  ///< stages rebuilt for dirty components
+  };
+
+  /// The structural half of an ECO update: absorbs every netlist edit
+  /// since built_revision() by synchronizing the component partition,
+  /// re-extracting the dirty components only (over `threads` workers),
+  /// splicing the fresh stages into the global order, and rebuilding
+  /// the trigger index, the per-CCC counts and the store.  The stages
+  /// afterwards are bit-identical to a fresh build over the edited
+  /// netlist.  Called by the writer Session, which must hold the only
+  /// reference; precondition: the design is out of sync.
+  EcoSplice absorb_edits(int threads);
+
  private:
   CompiledDesign() = default;
 
@@ -138,16 +169,12 @@ class CompiledDesign {
   void build(int threads);
   /// Rebuilds stages_by_trigger_ from stages_ (load and ECO splice).
   void index_stages_by_trigger();
-  /// Rebuilds store_ from stages_ via make_stage (ECO splice only; the
-  /// snapshot loader restores the store verbatim instead).
+  /// Rebuilds store_ from stages_ via make_stage (build and ECO splice;
+  /// the snapshot loader restores the store verbatim instead).
   void rebuild_store();
   /// Recomputes per_ccc_ from stages_ and ccc_.
   void recount_stages_per_ccc();
 
-  /// ECO single-writer: TimingAnalyzer::update() mutates stages_,
-  /// ccc_, store_, and the indexes in place, and is required to verify
-  /// exclusive ownership (no outstanding share_design() copies) first.
-  friend class TimingAnalyzer;
   /// Snapshot reader/writer (design/snapshot.cpp).
   friend struct SnapshotAccess;
 

@@ -49,6 +49,29 @@ Session::Session(std::shared_ptr<const CompiledDesign> design,
   refresh_fan_in();
 }
 
+Session::Session(const Netlist& nl, const Tech& tech, const DelayModel& model,
+                 AnalyzerOptions options)
+    : Session(CompiledDesign::build_over(
+                  nl, tech, CompileOptions{options.extract, options.threads}),
+              model, options) {}
+
+Session::Session(std::shared_ptr<CompiledDesign> design,
+                 const DelayModel& model, AnalyzerOptions options)
+    : Session(std::shared_ptr<const CompiledDesign>(design), model,
+              SessionOptions{options.max_updates_per_arrival,
+                             options.threads}) {
+  writable_ = design.get();
+}
+
+Netlist& Session::mutable_netlist() {
+  if (!writable_) {
+    throw Error(
+        "mutable_netlist() on a reader session: the shared design is "
+        "immutable; edit it through its writer session");
+  }
+  return writable_->mutable_netlist();
+}
+
 void Session::refresh_fan_in() {
   // Fan-in census of the *current* structure: one sample per trigger
   // key that fires at least one stage (rebuilt, not accumulated, so
@@ -323,9 +346,15 @@ void Session::propagate(std::deque<std::uint32_t>& work,
         if (t_new == arrival_time_[dest_key]) {
           // Canonical tie-break: among equal-time candidates the one
           // with the smallest (stage index, predecessor key) wins, so
-          // the fixpoint winner is independent of processing order --
-          // the property that keeps incremental update() bit-identical
-          // to a from-scratch rebuild.
+          // the winner of a *tie* is independent of processing order.
+          // The fixpoint as a whole is not: a later candidate is kept
+          // even when it was priced from an earlier state of its
+          // predecessor, and under the slope model a later predecessor
+          // time with a smaller slope can give an *earlier* downstream
+          // arrival, which this rule then rejects.  An incremental
+          // update() visits events in another order than a rebuild,
+          // so it can settle on later arrivals (ROADMAP: "ECO update
+          // depends on processing order").
           if (arrival_via_[dest_key] < s ||
               (arrival_via_[dest_key] == s &&
                arrival_from_[dest_key] <= fire_key)) {
@@ -364,6 +393,144 @@ void Session::propagate(std::deque<std::uint32_t>& work,
                      {"queue_depth", static_cast<double>(work.size())}});
     }
   }
+}
+
+void Session::update() {
+  if (design_->netlist().revision() == design_->built_revision()) return;
+  if (!writable_) {
+    throw Error(
+        "update() on a reader session: the netlist was mutated since the "
+        "design was built, and only the design's writer session may "
+        "absorb the edits; rebuild instead");
+  }
+  // Single-writer discipline: this session holds the only reference
+  // when the design is unshared.  Any outstanding share_design() handle
+  // (another session, a snapshot writer) sees the design as immutable,
+  // so in-place ECO mutation is forbidden.
+  if (design_.use_count() > 1) {
+    throw Error(
+        "update() on a shared CompiledDesign: " +
+        std::to_string(design_.use_count() - 1) +
+        " other reference(s) outstanding; drop them or rebuild instead");
+  }
+  TraceSpan span("update", "timing");
+  const Seconds t0 = now_seconds();
+  const CompiledDesign::EcoSplice splice =
+      writable_->absorb_edits(options_.threads);
+  g_dirty_cccs_.set(static_cast<double>(splice.dirty.size()));
+  g_reused_stages_.set(static_cast<double>(splice.reused));
+  g_reextracted_stages_.set(static_cast<double>(splice.reextracted));
+  ctr_incremental_updates_.add();
+  refresh_fan_in();
+  repair_arrivals(splice);
+  g_update_seconds_.set(now_seconds() - t0);
+  publish_telemetry();
+}
+
+void Session::repair_arrivals(const CompiledDesign::EcoSplice& splice) {
+  const CccPartition& ccc = design_->components();
+  const std::vector<TimingStage>& stages = design_->stages();
+  const std::vector<std::size_t>& remap = splice.remap;
+
+  // Grow the flat per-(node, dir) arrays for nodes added by the batch.
+  const std::size_t nkeys = design_->netlist().node_count() * 2;
+  if (splice.grew) {
+    arrival_time_.resize(nkeys, 0.0);
+    arrival_slope_.resize(nkeys, 0.0);
+    arrival_from_.resize(nkeys, UINT32_MAX);
+    arrival_via_.resize(nkeys, SIZE_MAX);
+    arrival_valid_.resize(nkeys, 0);
+    update_counts_.resize(nkeys, 0);
+  }
+
+  if (!ran_) {
+    // Structure-only sync: no arrivals to repair yet (declared seeds,
+    // if any, are untouched and stages carry no arrival state).
+    g_frontier_keys_.set(0.0);
+    return;
+  }
+
+  // --- Damage: every (node, dir) arrival whose value may have changed.
+  // Base set: all keys of dirty components (their stage sets changed);
+  // closure: everything downstream through the recorded predecessor
+  // links.  Primary-input seeds are never stage destinations, so they
+  // keep their declared arrivals.
+  std::vector<char> damaged(nkeys, 0);
+  {
+    TraceSpan invalidate_span("update-invalidate", "timing");
+    std::vector<std::vector<std::uint32_t>> successors(nkeys);
+    for (std::size_t k = 0; k < nkeys; ++k) {
+      if (arrival_valid_[k] && arrival_from_[k] != UINT32_MAX) {
+        successors[arrival_from_[k]].push_back(static_cast<std::uint32_t>(k));
+      }
+    }
+    std::deque<std::uint32_t> bfs;
+    for (const std::size_t c : splice.dirty) {
+      for (NodeId n : ccc.members(c)) {
+        for (const Transition dir :
+             {Transition::kRise, Transition::kFall}) {
+          const std::size_t k = arrival_key(n, dir);
+          if (arrival_valid_[k] && arrival_via_[k] == SIZE_MAX) continue;
+          if (!damaged[k]) {
+            damaged[k] = 1;
+            bfs.push_back(static_cast<std::uint32_t>(k));
+          }
+        }
+      }
+    }
+    while (!bfs.empty()) {
+      const std::uint32_t k = bfs.front();
+      bfs.pop_front();
+      for (const std::uint32_t succ : successors[k]) {
+        if (!damaged[succ]) {
+          damaged[succ] = 1;
+          bfs.push_back(succ);
+        }
+      }
+    }
+
+    // Invalidate damaged arrivals; remap retained ones onto the new
+    // stage numbering (their stages survived the splice by
+    // construction).
+    std::size_t invalidated = 0;
+    for (std::size_t k = 0; k < nkeys; ++k) {
+      if (!damaged[k]) {
+        if (arrival_valid_[k] && arrival_via_[k] != SIZE_MAX) {
+          SLDM_ASSERT(remap[arrival_via_[k]] != SIZE_MAX);
+          arrival_via_[k] = remap[arrival_via_[k]];
+        }
+        continue;
+      }
+      if (arrival_valid_[k]) ++invalidated;
+      arrival_valid_[k] = 0;
+      update_counts_[k] = 0;
+    }
+    g_frontier_keys_.set(static_cast<double>(invalidated));
+    h_frontier_.add(static_cast<double>(invalidated));
+    invalidate_span.arg("frontier_keys", static_cast<double>(invalidated));
+  }
+
+  // --- Re-propagate from the frontier: every stage targeting a damaged
+  // key whose firing event is currently valid re-fires now; damaged
+  // keys revalidated during propagation enqueue themselves through the
+  // normal accept path.
+  TraceSpan repropagate_span("update-propagate", "timing");
+  std::deque<std::uint32_t> work;
+  std::vector<char> queued(nkeys, 0);
+  for (std::size_t k = 0; k < nkeys; ++k) {
+    if (!arrival_valid_[k] || queued[k]) continue;
+    for (const std::size_t s : design_->stages_by_trigger()[k]) {
+      const TimingStage& ts = stages[s];
+      if (damaged[arrival_key(ts.destination, ts.output_dir)]) {
+        queued[k] = 1;
+        work.push_back(static_cast<std::uint32_t>(k));
+        ctr_worklist_pushes_.add();
+        break;
+      }
+    }
+  }
+  repropagate_span.arg("seeds", static_cast<double>(work.size()));
+  propagate(work, queued);
 }
 
 void Session::reset() {

@@ -1,13 +1,35 @@
-// A timing-analysis session: the mutable half of the split analyzer.
+// A timing-analysis session: the per-query half of the analyzer.
 //
-// A Session borrows an immutable CompiledDesign and owns everything a
-// single analysis needs that the design does not: the declared input
-// events, the structure-of-arrays arrival store, the propagation
-// worklist scratch, the thread pool for batched evaluation, and the
-// per-session metrics/stats.  N sessions -- different delay models,
-// input slopes, or thread counts -- run concurrently over one shared
-// design with no cloning, and each produces results bit-identical to a
-// standalone analyzer over the same inputs (tests/design_test.cpp).
+// A Session attaches to a CompiledDesign and owns everything a single
+// analysis needs that the design does not: the declared input events,
+// the structure-of-arrays arrival store, the propagation worklist
+// scratch, the thread pool for batched evaluation, and the per-session
+// metrics/stats.  N sessions -- different delay models, input slopes,
+// or thread counts -- run concurrently over one shared design with no
+// cloning, and each produces results bit-identical to a standalone
+// session over the same inputs (tests/design_test.cpp).
+//
+// Sessions come in two kinds, fixed by the constructor:
+//   * a *reader* attaches to a shared_ptr<const CompiledDesign> and
+//     never writes it; any number of readers may share one design;
+//   * a *writer* compiles the design itself (over borrowed Netlist and
+//     Tech references) or adopts a mutable shared_ptr<CompiledDesign>,
+//     and is the design's single sanctioned writer: update() absorbs
+//     netlist edits in place instead of rebuilding.
+//
+// ECO update (writer only): after the netlist is mutated through its
+// journaled API, update() runs the structural half on the design
+// (CompiledDesign::absorb_edits: partition sync, re-extraction of the
+// dirty components only, splice into the global stage order, re-index,
+// re-bake) and then repairs its own arrivals: only arrivals reachable
+// from the damage are invalidated (frontier walk over the recorded
+// predecessor keys), and re-propagation starts from the frontier
+// instead of from all seeds.  Because reader sessions may be borrowing
+// the design, update() refuses to run while share_design() handles are
+// outstanding.  Invariant (enforced by tests/eco_timing_test.cpp): the
+// session after update() is bit-identical to a freshly constructed and
+// run session over the mutated netlist -- except where the slope
+// model's order dependence shows (see propagate()).
 //
 // Propagation drains an explicit FIFO worklist with in-queue
 // deduplication in *wavefronts*: each round snapshots the ready
@@ -20,9 +42,8 @@
 // thread-independent, so arrivals, predecessors, and every work counter
 // are bit-identical for any SessionOptions::threads.
 //
-// The legacy TimingAnalyzer (timing/analyzer.h) is now a facade over
-// {CompiledDesign, Session}; ECO updates go through it because they
-// mutate the design (single-writer discipline).
+// timing/analyzer.h keeps the historical name TimingAnalyzer as an
+// alias of this class.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +62,7 @@
 
 namespace sldm {
 
-/// Session configuration (the query half of AnalyzerOptions).
+/// Reader-session configuration (the query half of AnalyzerOptions).
 struct SessionOptions {
   /// Safety valve: maximum times a (node, direction) arrival may be
   /// improved before the session reports a structural loop.
@@ -49,6 +70,19 @@ struct SessionOptions {
   /// Worker threads for batched wavefront evaluation (1 = fully
   /// sequential; results are bit-identical for any value).  Must be
   /// >= 1.
+  int threads = 1;
+};
+
+/// Writer-session configuration: the extraction options its design is
+/// compiled with plus the query options (SessionOptions).
+struct AnalyzerOptions {
+  ExtractOptions extract;
+  /// Safety valve: maximum times a (node, direction) arrival may be
+  /// improved before the session reports a structural loop.
+  int max_updates_per_arrival = 64;
+  /// Worker threads for stage extraction and for batched wavefront
+  /// evaluation during propagation (1 = fully sequential; results are
+  /// bit-identical for any value).  Must be >= 1.
   int threads = 1;
 };
 
@@ -115,10 +149,25 @@ struct PathStep {
 
 class Session {
  public:
-  /// Attaches to a design.  `model` must outlive the session.
-  /// Precondition: design is non-null; options.threads >= 1.
+  /// Reader: attaches to a shared design it never writes.  `model`
+  /// must outlive the session.  Precondition: design is non-null;
+  /// options.threads >= 1.
   Session(std::shared_ptr<const CompiledDesign> design,
           const DelayModel& model, SessionOptions options = {});
+
+  /// Writer: compiles the design up-front over borrowed references
+  /// (per channel-connected component, over options.threads workers).
+  /// `nl`, `tech`, and `model` must outlive the session.
+  Session(const Netlist& nl, const Tech& tech, const DelayModel& model,
+          AnalyzerOptions options = {});
+
+  /// Writer: adopts an already-compiled design (e.g. loaded from a
+  /// .sldc snapshot) instead of compiling; options.extract is ignored
+  /// in favor of the design's own extraction options.  `model` must
+  /// outlive the session.  ECO edits through mutable_netlist() require
+  /// the design to own its netlist (snapshot loads do).
+  Session(std::shared_ptr<CompiledDesign> design, const DelayModel& model,
+          AnalyzerOptions options = {});
 
   /// Declares a primary-input event.  Precondition: `input` is marked
   /// is_input; slope >= 0.  May be called repeatedly before run().
@@ -134,8 +183,24 @@ class Session {
   /// Propagates to fixpoint.  Throws Error if a structural loop exceeds
   /// the update bound, or if run() already completed (reset() first),
   /// or if the design's netlist was mutated since the design was built
-  /// (TimingAnalyzer::update() first).
+  /// (update() first).
   void run();
+
+  /// Absorbs all netlist mutations since the design last synchronized
+  /// (construction or previous update()): the design re-extracts the
+  /// dirty components only, then this session invalidates the arrivals
+  /// transitively reachable from the damage and re-propagates from
+  /// that frontier.  Postcondition: stages, arrivals, and critical
+  /// paths are bit-identical to a freshly constructed session over the
+  /// mutated netlist with the same input events (and run(), if this
+  /// session had run).  No-op when already in sync.  Throws Error on a
+  /// reader session (it may not write the design), for edits the
+  /// incremental pipeline cannot absorb (power/ground/input/precharge
+  /// role changes), for timing loops exactly like construction + run()
+  /// would, and when the design is shared (outstanding share_design()
+  /// handles -- the immutability reader sessions rely on forbids
+  /// in-place mutation).
+  void update();
 
   /// Discards arrivals and seeds so a new set of input events can be
   /// analyzed without re-extracting stages.  Propagation counters keep
@@ -183,14 +248,21 @@ class Session {
     return k_worst_paths(node, dir, k, PathQueryOptions());
   }
 
-  /// The borrowed design and per-session model.
+  /// The attached design and per-session model.
   const CompiledDesign& design() const { return *design_; }
+  /// A reader handle on the design.  Additional Sessions may borrow it
+  /// concurrently; while any such handle is outstanding, update()
+  /// refuses to mutate the design.
   std::shared_ptr<const CompiledDesign> share_design() const {
     return design_;
   }
   const DelayModel& delay_model() const { return model_; }
   /// Conveniences forwarding to the design.
   const Netlist& netlist() const { return design_->netlist(); }
+  /// The design-owned netlist, the ECO edit surface for adopted
+  /// designs.  Throws Error on a reader session, and when the design
+  /// borrows the caller's netlist (mutate that one instead).
+  Netlist& mutable_netlist();
   const Tech& tech() const { return design_->tech(); }
   const std::vector<TimingStage>& stages() const {
     return design_->stages();
@@ -225,8 +297,7 @@ class Session {
   /// plus the request label when set).  Re-publishing replaces this
   /// session's earlier snapshot, so the hub always holds the registry's
   /// latest cumulative state.  No-op (one relaxed atomic load) while
-  /// the hub is disabled; run() and TimingAnalyzer::update() call this
-  /// at completion.
+  /// the hub is disabled; run() and update() call this at completion.
   void publish_telemetry() const;
 
   /// Tags this session's telemetry snapshots with a serve-traffic
@@ -236,7 +307,8 @@ class Session {
     telemetry_request_ = std::move(request);
   }
 
-  /// Attaches a cooperative cancellation token (deadline-aware serve).
+  /// Attaches a cooperative cancellation token (deadline-aware serve),
+  /// covering both run() and the re-propagation inside update().
   /// Propagation consults it once per wavefront batch and aborts with
   /// CancelledError once expired -- coarse enough that a run which
   /// *completes* is bit-identical to the same run with no token, since
@@ -246,10 +318,6 @@ class Session {
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
  private:
-  /// ECO repair (TimingAnalyzer::update()) grows the key arrays,
-  /// invalidates damaged arrivals, and re-propagates in place.
-  friend class TimingAnalyzer;
-
   /// Flat arrival key: (node, dir) -> node * 2 + dir.
   std::size_t key(NodeId node, Transition dir) const {
     return arrival_key(node, dir);
@@ -259,7 +327,7 @@ class Session {
   void require_not_ran(const char* what) const;
 
   /// Requires that the design is in sync with its netlist (Error
-  /// pointing at TimingAnalyzer::update() otherwise).
+  /// pointing at update() otherwise).
   void require_synced(const char* what) const;
 
   /// Re-censuses the trigger fan-in histogram from the design
@@ -279,7 +347,17 @@ class Session {
   /// the in-queue deduplication mark, sized like the arrival arrays.
   void propagate(std::deque<std::uint32_t>& work, std::vector<char>& queued);
 
+  /// The arrival half of update(), after the design absorbed the edits
+  /// as `splice` reports: grows the key arrays for added nodes and, if
+  /// the session has run, invalidates the damaged arrivals, remaps the
+  /// retained ones onto the new stage numbering, and re-propagates from
+  /// the frontier.
+  void repair_arrivals(const CompiledDesign::EcoSplice& splice);
+
   std::shared_ptr<const CompiledDesign> design_;
+  /// The same design as design_, writable: non-null only for writer
+  /// sessions (the two AnalyzerOptions constructors).
+  CompiledDesign* writable_ = nullptr;
   const DelayModel& model_;
   SessionOptions options_;
   /// Dense process-unique id (see session_id()).

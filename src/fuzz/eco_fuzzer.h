@@ -2,7 +2,7 @@
 //
 // Edits are generated as *text* in the eco script dialect
 // (netlist/eco_io.h) rather than as direct Netlist calls: the same
-// bytes that drove TimingAnalyzer::update() during fuzzing replay
+// bytes that drove Session::update() during fuzzing replay
 // byte-identically from a checked-in repro case through `sldm eco`.
 // Only journal-absorbable edits are emitted (resizes, caps, flow, value
 // pins, new nodes/devices) -- never role changes, which update()

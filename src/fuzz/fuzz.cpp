@@ -7,6 +7,7 @@
 
 #include "compare/harness.h"
 #include "delay/rctree.h"
+#include "design/session.h"
 #include "fuzz/eco_fuzzer.h"
 #include "fuzz/netlist_fuzzer.h"
 #include "fuzz/oracles.h"
@@ -15,7 +16,6 @@
 #include "fuzz/shrink.h"
 #include "netlist/sim_io.h"
 #include "tech/tech.h"
-#include "timing/analyzer.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -38,10 +38,9 @@ std::string sim_text(const Netlist& nl) {
 /// Builds and runs an analyzer over `g` with events on all inputs;
 /// nullopt when the analyzer reports a loop (the caller decides whether
 /// that is a failure).
-std::optional<TimingAnalyzer> analyze(const GeneratedCircuit& g,
-                                      const DelayModel& model,
-                                      Seconds slope) {
-  TimingAnalyzer an(g.netlist, tech_for(g.style), model);
+std::optional<Session> analyze(const GeneratedCircuit& g,
+                               const DelayModel& model, Seconds slope) {
+  Session an(g.netlist, tech_for(g.style), model);
   an.add_all_input_events(slope);
   try {
     an.run();

@@ -40,7 +40,7 @@ OracleResult check_netlist(const Netlist& nl) {
   return OracleResult::fail("netlist-check: " + to_string(nl, ds));
 }
 
-OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer) {
+OracleResult check_sanity(const Netlist& nl, const Session& analyzer) {
   for (NodeId n : nl.all_nodes()) {
     for (Transition dir : {Transition::kRise, Transition::kFall}) {
       const auto a = analyzer.arrival(n, dir);
@@ -112,7 +112,7 @@ OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
   return OracleResult::pass();
 }
 
-OracleResult check_batch_parity(const TimingAnalyzer& analyzer,
+OracleResult check_batch_parity(const Session& analyzer,
                                 Seconds input_slope) {
   const LumpedRcModel lumped;
   const RcTreeModel rctree;
@@ -154,7 +154,7 @@ OracleResult check_batch_parity(const TimingAnalyzer& analyzer,
 }
 
 OracleResult check_switchsim(const GeneratedCircuit& g,
-                             const TimingAnalyzer& analyzer) {
+                             const Session& analyzer) {
   const auto settle_with_input = [&](bool value) {
     SwitchSimulator sim(g.netlist);
     for (NodeId n : g.high_inputs) sim.set_input(n, true);
@@ -246,7 +246,7 @@ OracleResult check_eco_identity(const GeneratedCircuit& g,
     opts.max_updates_per_arrival = 512;
 
     Netlist nl = g.netlist;
-    TimingAnalyzer inc(nl, tech, model, opts);
+    Session inc(nl, tech, model, opts);
     inc.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
     inc.run();
 
@@ -262,7 +262,7 @@ OracleResult check_eco_identity(const GeneratedCircuit& g,
       inc_error = e.what();
     }
 
-    TimingAnalyzer fresh(nl, tech, model, opts);
+    Session fresh(nl, tech, model, opts);
     fresh.add_input_event(g.input, Transition::kRise, 0.0, input_slope);
     bool fresh_looped = false;
     try {
@@ -336,8 +336,8 @@ OracleResult check_snapshot_roundtrip(const GeneratedCircuit& g,
     AnalyzerOptions opts;
     opts.threads = threads;
 
-    TimingAnalyzer direct(g.netlist, tech, model, opts);
-    TimingAnalyzer reloaded(loaded.design, model, opts);
+    Session direct(g.netlist, tech, model, opts);
+    Session reloaded(loaded.design, model, opts);
     direct.add_all_input_events(input_slope);
     reloaded.add_all_input_events(input_slope);
     bool direct_looped = false;

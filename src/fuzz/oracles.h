@@ -64,7 +64,7 @@ OracleResult check_netlist(const Netlist& nl);
 
 /// Every arrival finite and non-negative (time and slope), and the
 /// worst critical path's event times non-decreasing.
-OracleResult check_sanity(const Netlist& nl, const TimingAnalyzer& analyzer);
+OracleResult check_sanity(const Netlist& nl, const Session& analyzer);
 
 /// The RPH/Elmore/lumped inequalities on every extracted stage, with a
 /// relative tolerance for floating-point noise.
@@ -77,14 +77,14 @@ OracleResult check_stage_bounds(const Netlist& nl, const Tech& tech,
 /// materialized stage, bit for bit, for every stage (slopes varied per
 /// item).  Guards the batched wavefront propagation against kernel
 /// drift.
-OracleResult check_batch_parity(const TimingAnalyzer& analyzer,
+OracleResult check_batch_parity(const Session& analyzer,
                                 Seconds input_slope);
 
 /// Differential functional check against the switch-level simulator.
 /// `analyzer` must have been run with events on *all* inputs (both
 /// directions) over g.netlist.
 OracleResult check_switchsim(const GeneratedCircuit& g,
-                             const TimingAnalyzer& analyzer);
+                             const Session& analyzer);
 
 /// Differential accuracy check against the analog transient engine;
 /// `max_error_pct` bounds the RC-tree model's |signed % error|.
@@ -93,7 +93,7 @@ OracleResult check_analog(const GeneratedCircuit& g,
                           double max_error_pct);
 
 /// Applies `eco_script` to a copy of g.netlist and checks that
-/// TimingAnalyzer::update() is bit-identical to a rebuild at each entry
+/// Session::update() is bit-identical to a rebuild at each entry
 /// of `thread_counts`.  A timing loop is only a failure if the two
 /// sides disagree about it.
 OracleResult check_eco_identity(const GeneratedCircuit& g,

@@ -197,7 +197,7 @@ OracleResult replay_repro(const ReproCase& c) {
 
   const RcTreeModel model;
   const Tech& tech = tech_for(g.style);
-  TimingAnalyzer analyzer(g.netlist, tech, model);
+  Session analyzer(g.netlist, tech, model);
   analyzer.add_all_input_events(slope);
   analyzer.run();
 

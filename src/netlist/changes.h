@@ -6,7 +6,8 @@
 // later replay exactly the entries it missed (log.entry(i) for
 // i in [synced, revision())) and recompute only the affected state.
 // This is the contract between the netlist layer and the incremental
-// consumers (CccPartition::update, TimingAnalyzer::update).
+// consumers (CccPartition::update, CompiledDesign::absorb_edits and
+// Session::update).
 //
 // Entries are intentionally tiny (kind + index): consumers resolve the
 // index against the netlist at replay time, when terminals, gating

@@ -88,7 +88,7 @@ struct Transistor {
 ///
 /// Every mutation is journaled in a ChangeLog (changes()), and the log
 /// length is the netlist's revision().  Incremental consumers
-/// (CccPartition::update, TimingAnalyzer::update) replay the entries
+/// (CccPartition::update, Session::update) replay the entries
 /// recorded since the revision they last synchronized to, so ECO edits
 /// (resizing, re-annotating, or growing an already-analyzed circuit)
 /// cost work proportional to the damage, not the circuit.

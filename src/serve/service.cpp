@@ -10,7 +10,6 @@
 #include "netlist/eco_io.h"
 #include "netlist/sim_io.h"
 #include "serve/protocol.h"
-#include "timing/analyzer.h"
 #include "timing/explain.h"
 #include "timing/report.h"
 #include "util/cancel.h"
@@ -455,34 +454,34 @@ struct TimingService::ServeRequestDispatch {
       svc.insert_entry(req.design, entry);
       throw;
     }
-    // Declared before the analyzer so the analyzer (which borrows it)
+    // Declared before the session so the session (which borrows it)
     // dies first on every exit path.
     const CancelToken deadline = deadline_for(req, svc.options_);
 
-    // Move the cache's owning pointer into the analyzer so use_count
-    // lands at exactly facade + session: the PR 6 single-writer check
-    // in update() stays armed as the backstop behind take_for_eco's
-    // lease accounting.
-    TimingAnalyzer analyzer(std::move(entry->design), *model,
-                            AnalyzerOptions{{}, 64, req.threads});
-    analyzer.session().set_telemetry_request("eco");
-    analyzer.add_all_input_events(req.slope_ns * 1e-9);
-    if (deadline.armed()) analyzer.set_cancel_token(&deadline);
+    // Move the cache's owning pointer into the writer session so
+    // use_count lands at exactly 1: the single-writer check in update()
+    // stays armed as the backstop behind take_for_eco's lease
+    // accounting.
+    Session session(std::move(entry->design), *model,
+                    AnalyzerOptions{{}, 64, req.threads});
+    session.set_telemetry_request("eco");
+    session.add_all_input_events(req.slope_ns * 1e-9);
+    if (deadline.armed()) session.set_cancel_token(&deadline);
 
     std::size_t applied = 0;
     try {
       // run() is inside the salvage scope: a deadline (or any failure)
       // before the script mutates anything must put the untouched
       // design back under its old fingerprint.
-      analyzer.run();
+      session.run();
       if (!req.script.empty()) {
         std::istringstream script(req.script);
-        applied = apply_eco(script, analyzer.mutable_netlist(),
+        applied = apply_eco(script, session.mutable_netlist(),
                             "<eco-request>");
       } else {
-        applied = apply_eco_file(req.path, analyzer.mutable_netlist());
+        applied = apply_eco_file(req.path, session.mutable_netlist());
       }
-      analyzer.update();
+      session.update();
     } catch (...) {
       // A failed script may have partially mutated the netlist, in
       // which case the design is lost from the cache (re-load it).
@@ -497,9 +496,8 @@ struct TimingService::ServeRequestDispatch {
       throw;
     }
 
-    const Session& session = analyzer.session();
-    const Netlist& nl = analyzer.netlist();
-    const std::uint64_t new_fp = design_fingerprint(nl, analyzer.tech());
+    const Netlist& nl = session.netlist();
+    const std::uint64_t new_fp = design_fingerprint(nl, session.tech());
     const std::string new_hex = fingerprint_hex(new_fp);
 
     LedgerRecord r =
@@ -518,7 +516,7 @@ struct TimingService::ServeRequestDispatch {
     append_worst(os, nl, session);
     os << ",\"stats\":" << analyzer_stats_json(session.stats()) << '}';
 
-    // Re-adopt the master pointer (the analyzer still holds it, so the
+    // Re-adopt the master pointer (the session still holds it, so the
     // weak_ptr is live) and publish the rewritten design under its new
     // identity; the old fingerprint now reports unknown-design.
     entry->design = master.lock();
@@ -592,13 +590,13 @@ std::string TimingService::handle_line(const std::string& line) {
   } catch (const UnknownModelError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     response = error_response(req.id_token, kBadRequest, e.what());
-  } catch (const MissingTablesError&) {
+  } catch (const MissingTablesError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     response = error_response(
         req.id_token, kFailed,
-        "design carries no slope calibration tables; load it with "
-        "\"model\":\"slope\" (or from a slope-compiled .sldc), or request "
-        "another model");
+        std::string(e.what()) +
+            "; load the design with \"model\":\"slope\" (or from a "
+            "slope-compiled .sldc), or request another model");
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     response = error_response(req.id_token, kFailed, e.what());

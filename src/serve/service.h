@@ -16,7 +16,7 @@
 //     (tests/design_test.cpp extends that guarantee here);
 //   * `eco` is the single writer: it removes the entry from the cache
 //     (refusing with "eco-shared" while reader leases are outstanding),
-//     mutates the design through TimingAnalyzer::update() with the
+//     mutates the design through a writer Session's update() with the
 //     use_count discipline as a backstop, and re-inserts the result
 //     under its *new* fingerprint -- an edited design is a different
 //     design, and stale fingerprints fail fast with "unknown-design".

@@ -10,7 +10,7 @@
 
 namespace sldm {
 
-void Constraints::apply(const Netlist& nl, TimingAnalyzer& analyzer) const {
+void Constraints::apply(const Netlist& nl, Session& analyzer) const {
   for (const InputConstraint& c : inputs) {
     const auto node = nl.find_node(c.node);
     if (!node) throw Error("constraint names unknown node '" + c.node + "'");

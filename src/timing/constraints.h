@@ -40,7 +40,7 @@ struct Constraints {
 
   /// Seeds the analyzer with every declared event.  Throws Error if a
   /// named node does not exist or is not an input.
-  void apply(const Netlist& nl, TimingAnalyzer& analyzer) const;
+  void apply(const Netlist& nl, Session& analyzer) const;
 };
 
 /// Parses a constraint stream.  Throws ParseError on malformed input.

@@ -51,10 +51,6 @@ struct ExplainReport {
 ExplainReport explain_arrival(const Session& session, NodeId node,
                               Transition dir);
 
-/// Facade form over the analyzer's attached session.
-ExplainReport explain_arrival(const TimingAnalyzer& analyzer, NodeId node,
-                              Transition dir);
-
 /// Multi-line human-readable rendering: one block per event with the
 /// stage delay, the stage description, and the audit terms.
 std::string format_explain(const Netlist& nl, const ExplainReport& report);

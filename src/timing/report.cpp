@@ -22,11 +22,6 @@ std::string format_path(const Netlist& nl, const std::vector<PathStep>& path) {
 }
 
 std::string format_output_arrivals(const Netlist& nl,
-                                   const TimingAnalyzer& analyzer) {
-  return format_output_arrivals(nl, analyzer.session());
-}
-
-std::string format_output_arrivals(const Netlist& nl,
                                    const Session& session) {
   TextTable table({"output", "rise (ns)", "fall (ns)"});
   for (NodeId n : nl.all_nodes()) {
@@ -41,7 +36,7 @@ std::string format_output_arrivals(const Netlist& nl,
 }
 
 std::string format_all_arrivals(const Netlist& nl,
-                                const TimingAnalyzer& analyzer) {
+                                const Session& analyzer) {
   TextTable table({"node", "rise (ns)", "rise slope", "fall (ns)",
                    "fall slope"});
   for (NodeId n : nl.all_nodes()) {
@@ -59,7 +54,7 @@ std::string format_all_arrivals(const Netlist& nl,
 }
 
 std::string format_analyzer_stats(const Netlist& nl,
-                                  const TimingAnalyzer& analyzer,
+                                  const Session& analyzer,
                                   std::size_t max_cccs) {
   const AnalyzerStats& st = analyzer.stats();
   std::ostringstream os;
@@ -130,7 +125,7 @@ std::string analyzer_stats_json(const AnalyzerStats& st) {
   return os.str();
 }
 
-std::string analyzer_stats_json(const TimingAnalyzer& analyzer) {
+std::string analyzer_stats_json(const Session& analyzer) {
   std::string json = analyzer_stats_json(analyzer.stats());
   json.pop_back();  // drop the closing brace
   json += ",\"metrics\":";

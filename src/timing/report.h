@@ -12,25 +12,19 @@ std::string format_path(const Netlist& nl, const std::vector<PathStep>& path);
 
 /// A table of arrivals at all output-marked nodes.
 std::string format_output_arrivals(const Netlist& nl,
-                                   const TimingAnalyzer& analyzer);
-
-/// Session variant of the same table: the serve layer runs bare
-/// Sessions (no facade) and must emit byte-identical report text to
-/// the cold CLI path for the parity contract.
-std::string format_output_arrivals(const Netlist& nl,
                                    const Session& session);
 
 /// A table of arrivals at every node that has any (Crystal's full
 /// listing); nodes with no arrivals are omitted.
 std::string format_all_arrivals(const Netlist& nl,
-                                const TimingAnalyzer& analyzer);
+                                const Session& analyzer);
 
 /// The analyzer's instrumentation report: per-phase wall clock
 /// (extraction vs propagation), work counters, incremental-update
 /// counters when update() has run, and a per-CCC stage census (largest
 /// components first, up to `max_cccs` rows).
 std::string format_analyzer_stats(const Netlist& nl,
-                                  const TimingAnalyzer& analyzer,
+                                  const Session& analyzer,
                                   std::size_t max_cccs = 10);
 
 /// One-line JSON object of the stats counters (machine-readable
@@ -43,6 +37,6 @@ std::string analyzer_stats_json(const AnalyzerStats& stats);
 /// full metrics registry (counters / gauges / histograms; see
 /// FORMATS.md).  The legacy fields stay first, so consumers keyed on
 /// them are unaffected.
-std::string analyzer_stats_json(const TimingAnalyzer& analyzer);
+std::string analyzer_stats_json(const Session& analyzer);
 
 }  // namespace sldm

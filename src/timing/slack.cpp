@@ -22,7 +22,7 @@ std::optional<Seconds> SlackReport::worst_slack() const {
   return entries.front().slack;
 }
 
-SlackReport compute_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+SlackReport compute_slack(const Netlist& nl, const Session& analyzer,
                           Seconds required) {
   SLDM_EXPECTS(required > 0.0);
   SlackReport report;
@@ -48,7 +48,7 @@ SlackReport compute_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
   return report;
 }
 
-std::string format_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+std::string format_slack(const Netlist& nl, const Session& analyzer,
                          const SlackReport& report) {
   std::ostringstream os;
   os << format("required time: %.3f ns\n", to_ns(report.required));

@@ -34,12 +34,12 @@ struct SlackReport {
 /// Computes slack at every output-marked node (both transitions that
 /// have arrivals) against a single required time.
 /// Precondition: analyzer.run() has completed; required > 0.
-SlackReport compute_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+SlackReport compute_slack(const Netlist& nl, const Session& analyzer,
                           Seconds required);
 
 /// Renders the report; violating entries are flagged, and for the worst
 /// violation the full critical path is appended.
-std::string format_slack(const Netlist& nl, const TimingAnalyzer& analyzer,
+std::string format_slack(const Netlist& nl, const Session& analyzer,
                          const SlackReport& report);
 
 }  // namespace sldm

@@ -367,7 +367,6 @@ void make_stage(const Netlist& nl, const Tech& tech, const TimingStage& ts,
     cur = next;
   }
   SLDM_ENSURES(cur == ts.destination);
-  validate(out);
 }
 
 Stage make_stage(const Netlist& nl, const Tech& tech, const TimingStage& ts,

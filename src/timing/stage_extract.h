@@ -151,7 +151,8 @@ PartitionedStages extract_stages_partitioned(const Netlist& nl,
 /// component's stages in ascending (node id, rise-then-fall) order —
 /// bit-identical to the corresponding slice of a whole-netlist
 /// extraction.  This is the re-extraction primitive of
-/// TimingAnalyzer::update(): dirty components pay, clean ones don't.
+/// CompiledDesign::absorb_edits(): dirty components pay, clean ones
+/// don't.
 /// Preconditions: threads >= 1; components are valid ids of `ccc`,
 /// ascending and unique.
 std::vector<std::vector<TimingStage>> extract_components(
@@ -162,7 +163,10 @@ std::vector<std::vector<TimingStage>> extract_components(
 /// consume: per-device effective resistances for the output direction
 /// and per-node lumped capacitances from `tech`.
 /// For release stages the trigger element defaults to the source-side
-/// driver of the path (the load device).
+/// driver of the path (the load device).  The result is validated where
+/// it is consumed: StageStore::add, the models' estimate and
+/// estimate_audited, and stage_elmore all go through stage_totals(),
+/// which runs validate().
 Stage make_stage(const Netlist& nl, const Tech& tech, const TimingStage& ts,
                  Seconds input_slope);
 

@@ -1,10 +1,10 @@
 // A named-metrics registry: monotonic counters, point-in-time gauges,
 // and fixed-bucket histograms, addressable by string name.
 //
-// The timing analyzer's instrumentation stores plain Counter / Gauge /
+// The timing session's instrumentation stores plain Counter / Gauge /
 // Histogram members (one field update per increment -- no map lookup,
 // no allocation on the hot path) and materializes them into a named
-// registry on demand via TimingAnalyzer::metrics(); the legacy
+// registry on demand via Session::metrics(); the legacy
 // AnalyzerStats struct is likewise refreshed from those members -- both
 // the registry and the struct are *views* of the same counters.  `sldm
 // time --stats --json` and the compare harness (per-ModelResult

@@ -495,5 +495,33 @@ TEST(Cli, TimeAndExplainMatchGoldenOutputs) {
   }
 }
 
+TEST(Cli, IncompleteSlopeTablesAreANamedError) {
+  // A calibrated table with its first record ('entry e rise') removed,
+  // and an empty table file: both must be refused by name, never reach
+  // the slope kernel's contract check.
+  const std::string cal = "/tmp/sldm_cli_test_partial";
+  ASSERT_EQ(run({"calibrate", "nmos", "--out", cal}).code, 0);
+  std::ifstream in(cal + ".slopes");
+  std::ostringstream kept;
+  bool dropping = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("entry ", 0) == 0) dropping = line == "entry e rise";
+    if (!dropping) kept << line << '\n';
+  }
+  std::remove((cal + ".tech").c_str());
+  std::remove((cal + ".slopes").c_str());
+  ASSERT_NE(kept.str().find("entry e fall"), std::string::npos);
+  TempFile partial("partial.slopes", kept.str());
+  TempFile empty("empty.slopes", "");
+  const std::string sim =
+      std::string(SLDM_SOURCE_DIR) + "/testdata/sample_datapath.sim";
+  for (const TempFile* tables : {&partial, &empty}) {
+    const CliRun r = run({"time", sim, "--tables", tables->path()});
+    EXPECT_EQ(r.code, 1) << tables->path() << ": " << r.err;
+    EXPECT_NE(r.err.find("entry e rise"), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("internal error"), std::string::npos) << r.err;
+  }
+}
+
 }  // namespace
 }  // namespace sldm

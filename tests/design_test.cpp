@@ -179,5 +179,46 @@ TEST(Design, MutableNetlistRequiresOwnership) {
   EXPECT_THROW(borrowed.mutable_netlist(), Error);
 }
 
+/// A reader session over a writable design built on the caller's
+/// netlist, which the caller then edits through its own reference.
+struct StaleReader {
+  explicit StaleReader(const GeneratedCircuit& g)
+      : nl(g.netlist),
+        design(CompiledDesign::build_over(nl, tech_for(g))),
+        reader(std::shared_ptr<const CompiledDesign>(design), model) {
+    reader.add_all_input_events(kSlope);
+    reader.update();  // in sync: a no-op, even for a reader
+    nl.set_capacitance(*nl.find_node("s1"), 10e-15);
+  }
+  Netlist nl;
+  const RcTreeModel model;
+  std::shared_ptr<CompiledDesign> design;
+  Session reader;
+};
+
+TEST(Design, ReaderSessionUpdateThrowsOnceTheNetlistMoved) {
+  StaleReader s(inverter_chain(Style::kCmos, 4, 2));
+  EXPECT_THROW(s.reader.update(), Error);
+  // The refusal touched nothing: the design is still out of sync.
+  EXPECT_NE(s.design->built_revision(), s.nl.revision());
+}
+
+TEST(Design, ReaderSessionStillRefusesToRunOutOfSync) {
+  StaleReader s(inverter_chain(Style::kCmos, 4, 2));
+  EXPECT_THROW(s.reader.update(), Error);
+  EXPECT_THROW(s.reader.run(), Error);
+}
+
+TEST(Design, ReaderSessionHasNoMutableNetlist) {
+  StaleReader s(inverter_chain(Style::kCmos, 4, 2));
+  EXPECT_THROW(s.reader.mutable_netlist(), Error);
+  // Not even over a design that owns its netlist.
+  const GeneratedCircuit g = inverter_chain(Style::kCmos, 3, 1);
+  const RcTreeModel model;
+  Session owned_reader(CompiledDesign::compile(g.netlist, tech_for(g)),
+                       model);
+  EXPECT_THROW(owned_reader.mutable_netlist(), Error);
+}
+
 }  // namespace
 }  // namespace sldm

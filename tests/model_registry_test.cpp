@@ -147,5 +147,37 @@ TEST(ModelRegistry, SlopeWithoutTablesIsNamedError) {
   EXPECT_NO_THROW(make_model("rc-tree", nullptr));
 }
 
+TEST(ModelRegistry, SlopeWithIncompleteTablesNamesTheMissingEntry) {
+  const SlopeTables unit = SlopeTables::unit();
+  SlopeTables partial;
+  for (const TransistorType type :
+       {TransistorType::kNEnhancement, TransistorType::kNDepletion,
+        TransistorType::kPEnhancement}) {
+    for (const Transition dir : {Transition::kRise, Transition::kFall}) {
+      if (type == TransistorType::kNDepletion && dir == Transition::kFall) {
+        continue;
+      }
+      partial.set(type, dir, unit.entry(type, dir));
+    }
+  }
+  try {
+    make_model("slope", &partial);
+    FAIL() << "make_model accepted tables without 'entry d fall'";
+  } catch (const MissingTablesError& e) {
+    EXPECT_NE(std::string(e.what()).find("entry d fall"), std::string::npos)
+        << e.what();
+  }
+  // An empty set names the first entry in table order.
+  const SlopeTables empty;
+  try {
+    make_model("slope", &empty);
+    FAIL() << "make_model accepted empty tables";
+  } catch (const MissingTablesError& e) {
+    EXPECT_NE(std::string(e.what()).find("entry e rise"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(make_model("slope", &unit));
+}
+
 }  // namespace
 }  // namespace sldm
