@@ -158,8 +158,10 @@ class CompiledDesign {
   /// splicing the fresh stages into the global order, and rebuilding
   /// the trigger index, the per-CCC counts and the store.  The stages
   /// afterwards are bit-identical to a fresh build over the edited
-  /// netlist.  Called by the writer Session, which must hold the only
-  /// reference; precondition: the design is out of sync.
+  /// netlist.  Throws Error for edits the partition cannot absorb
+  /// (power/ground/input/precharge role changes).  Called by the writer
+  /// Session, which must hold the only reference; precondition: the
+  /// design is out of sync.
   EcoSplice absorb_edits(int threads);
 
  private:

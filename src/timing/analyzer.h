@@ -1,10 +1,8 @@
-// TimingAnalyzer is the historical name of the one analysis class,
-// Session (design/session.h): a writer session built from a Netlist and
-// Tech (or adopting a mutable CompiledDesign) is what this header used
-// to declare as a separate facade.  The alias keeps older callers
-// compiling -- the report, explain, slack, constraints, harness and
-// oracle headers still include this one, so their users keep seeing
-// the name -- while new code says Session.
+// TimingAnalyzer is another name for Session (design/session.h), the one
+// analysis class.  The alias keeps callers written against that name
+// compiling; the report, explain, slack, constraints, harness and oracle
+// headers include this header so that their users see both names.  New
+// code says Session.
 #pragma once
 
 #include "design/session.h"
